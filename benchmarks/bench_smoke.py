@@ -5,12 +5,6 @@ parallel/batch identity checks, producing a ``BENCH_pr.json`` artifact:
 
 * mines each smoke dataset serially and with 2 workers, failing on any
   serial-vs-parallel divergence (bit-identity, dict order included);
-* runs the shard → merge construction path (plan, per-shard mines,
-  residue boundary correction) and times the merge + serial-order
-  replay phase on its own, failing if the merged levels differ from
-  the serial miner's by a bit or if merge overhead exceeds
-  ``MERGE_OVERHEAD_CEILING`` of serial mining time (both sides
-  calibration-scaled, so the gate is machine-independent);
 * checks ``estimate_batch`` (serial and fanned out) against per-query
   ``estimate`` for the recursive, voting, and fix-sized estimators;
 * runs the same estimators over ``--store {dict,array,both}`` summary
@@ -19,8 +13,8 @@ parallel/batch identity checks, producing a ``BENCH_pr.json`` artifact:
 * times warm ``estimate_batch`` passes per execution backend — the
   legacy compiled-plan replay plus every available kernel backend —
   against the cold pass that built the plans, failing below each
-  backend's speedup floor (plan/array 2x, numpy 10x) and on any warm
-  value differing from the cold bit pattern;
+  backend's speedup floor (plan 2x, numpy 10x) and on any warm value
+  differing from the cold bit pattern;
 * compares construction time and warm throughput against a checked-in
   baseline JSON and fails when either regresses more than ``--factor``
   (default 2x).
@@ -67,36 +61,23 @@ from repro.core.lattice import LatticeSummary
 from repro.core.recursive import RecursiveDecompositionEstimator
 from repro.datasets import generate_dataset
 from repro.kernels import available_backends
-from repro.mining import anchored_counts, merge_shard_stores, mine_shard_store
 from repro.mining.freqt import MiningResult, mine_lattice
 from repro.trees.matching import DocumentIndex
-from repro.trees.regions import plan_shards
 from repro.workload.generator import positive_workloads
 
-SCHEMA = 4
+SCHEMA = 5
 LEVEL = 4
 WORKERS = 2
 #: (dataset, scale): tiny fixed-seed slices of the paper's Table 3 corpora.
 SMOKE_DATASETS = (("nasa", 40), ("xmark", 30))
-#: Shard-plan granularity for the shard → merge timed region.
-SHARDS = 4
-#: The sharded path's merge + serial-order replay must cost at most
-#: this fraction of serial mining time (calibration-scaled ratios on
-#: both sides).  A merge that costs more than this stops being "free
-#: composition" and the shard → merge re-layering loses its point.
-MERGE_OVERHEAD_CEILING = 0.15
-#: One merge pass is fast enough to sit inside timer jitter; the timed
-#: region runs this many passes and divides (cf. ``WARM_REPEATS``).
-MERGE_REPEATS = 5
 QUERY_SIZES = (5, 6)
 QUERIES_PER_SIZE = 10
 #: The interned array backend must cost at most this fraction of dict.
 ARRAY_RATIO_CEILING = 0.5
 #: Warm batches must beat the cold (plan-compiling) batch by at least
-#: this factor, per execution backend.  The kernel interpreter shares
-#: the plan-replay floor; the vectorised numpy executor must earn its
-#: optional dependency with an order of magnitude.
-BACKEND_SPEEDUP_FLOORS = {"plan": 2.0, "array": 2.0, "numpy": 10.0}
+#: this factor, per execution backend.  The vectorised numpy executor
+#: must earn its optional dependency with an order of magnitude.
+BACKEND_SPEEDUP_FLOORS = {"plan": 2.0, "numpy": 10.0}
 #: Warm batches finish in well under a millisecond, so one batch is
 #: inside timer jitter; each timed warm region runs this many batches
 #: and divides, keeping per-backend qps stable enough to gate on.
@@ -251,37 +232,7 @@ def run_dataset(
     if divergence is not None:
         failures.append(f"{name}: serial vs parallel mining diverged: {divergence}")
 
-    # Shard → merge timed region: mine the shard plan outside the timed
-    # window, then time only the phase the re-layering *added* — monoid
-    # folds of the shard stores, the boundary fold, and the serial-order
-    # replay — via the same merge_shard_stores the runtime path calls.
-    plan = plan_shards(document, SHARDS)
-    shard_stores = [
-        mine_shard_store(document.subtree_at(root), LEVEL) for root in plan.roots
-    ]
-    boundary = anchored_counts(index, plan.residue, LEVEL)
-    merge_cal_before = calibration_seconds()
-    start = time.process_time()
-    for _ in range(MERGE_REPEATS):
-        merged_levels = merge_shard_stores(index, shard_stores, boundary, LEVEL)
-    merge_seconds = (time.process_time() - start) / MERGE_REPEATS
-    merge_calibration = bracket_calibration(
-        merge_cal_before, calibration_seconds()
-    )
-    sharded_result = MiningResult(levels=merged_levels, max_size=LEVEL)
-    divergence = mining_divergence(serial, sharded_result)
-    if divergence is not None:
-        failures.append(f"{name}: serial vs sharded mining diverged: {divergence}")
-
     serial_ratio = serial_seconds / mining_calibration
-    merge_ratio = merge_seconds / merge_calibration
-    merge_ceiling = MERGE_OVERHEAD_CEILING * serial_ratio
-    if merge_ratio > merge_ceiling:
-        failures.append(
-            f"{name}: shard-merge overhead too high: merge_ratio "
-            f"{merge_ratio:.4f} > {merge_ceiling:.4f} allowed "
-            f"({MERGE_OVERHEAD_CEILING:.0%} of serial_ratio {serial_ratio:.2f})"
-        )
 
     summary = LatticeSummary.from_mining(serial)
     summaries = {backend: summary.to_store(backend) for backend in backends}
@@ -317,12 +268,6 @@ def run_dataset(
         "serial_ratio": round(serial_ratio, 4),
         "mining_calibration_seconds": round(mining_calibration, 4),
         "parallel_seconds": round(parallel_seconds, 4),
-        "shards": plan.num_shards,
-        "shard_residue": len(plan.residue),
-        "shard_merge_seconds": round(merge_seconds, 5),
-        "shard_merge_ratio": round(merge_ratio, 4),
-        "merge_calibration_seconds": round(merge_calibration, 4),
-        "merge_vs_serial": round(merge_ratio / serial_ratio, 4),
     }
     for backend, backend_summary in summaries.items():
         row[f"{backend}_bytes"] = backend_summary.byte_size()
@@ -466,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         "schema": SCHEMA,
         "level": LEVEL,
         "workers": WORKERS,
-        "shards": SHARDS,
         "store": list(backends),
         "backends": list(available_backends()),
         "calibration_seconds": round(calibration_seconds(), 4),
@@ -484,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name:8} nodes={row['nodes']:<6} patterns={row['patterns']:<5} "
             f"serial={row['serial_seconds']}s parallel={row['parallel_seconds']}s "
-            f"merge_overhead={row['merge_vs_serial']:.1%} warm_speedups={warm}"
+            f"warm_speedups={warm}"
         )
 
     if args.write_baseline:

@@ -3,7 +3,7 @@
 Exercises the three extensions beyond the paper's evaluated scope (all
 flagged as future work in its §6):
 
-1. **Incremental maintenance** — keep the lattice exact while new
+1. **Streaming maintenance** — keep the lattice exact while new
    records stream into the document, without rebuilding;
 2. **Empirical error bands** — turn point estimates into calibrated
    intervals (and read the document's independence-friendliness off the
@@ -15,9 +15,9 @@ Run:  python examples/online_maintenance.py
 
 from repro import (
     ErrorProfile,
-    IncrementalLattice,
     LabeledTree,
     RecursiveDecompositionEstimator,
+    StreamingSummary,
     TwigQuery,
     count_matches,
     explain,
@@ -38,8 +38,9 @@ def main() -> None:
     document = generate_nasa(60, seed=5)
     print(f"  {document.size} nodes")
 
-    print("building the incrementally-maintained 3-lattice ...")
-    maintained = IncrementalLattice(document, level=3)
+    print("building the streaming-maintained 3-lattice ...")
+    # max_pending=0 compacts after every insert, so each snapshot is exact.
+    maintained = StreamingSummary(document, 3, max_pending=0)
     print(f"  {maintained.summary().num_patterns} patterns")
 
     query = TwigQuery.parse("dataset(author(lastName),date(year))")
@@ -51,8 +52,8 @@ def main() -> None:
         estimator = RecursiveDecompositionEstimator(summary, voting=True)
         estimate = estimator.estimate(query)
         true = count_matches(query.tree, maintained.document)
-        print(f"  {maintained.appends:>17} {estimate:9.1f} {true:6d}")
-        maintained.append_record(make_record(step))
+        print(f"  {maintained.updates:>17} {estimate:9.1f} {true:6d}")
+        maintained.insert(make_record(step))
 
     # 2. Error bands from the calibrated profile.
     print()

@@ -32,7 +32,6 @@ from .core import (
     EstimateInterval,
     Explanation,
     FixedDecompositionEstimator,
-    IncrementalLattice,
     LatticeSummary,
     MarkovPathEstimator,
     PruningReport,
@@ -67,7 +66,6 @@ from .datasets import (
 from .mining import (
     MiningResult,
     mine_lattice,
-    mine_lattice_sharded,
     pattern_counts_by_level,
 )
 from .resilience import ChunkFailureError, RetryBudgetExhausted, RetryPolicy
@@ -135,7 +133,6 @@ __all__ = [
     # mining
     "MiningResult",
     "mine_lattice",
-    "mine_lattice_sharded",
     "pattern_counts_by_level",
     # store
     "SummaryStore",
@@ -172,7 +169,6 @@ __all__ = [
     "explanation_from_spans",
     "ErrorProfile",
     "EstimateInterval",
-    "IncrementalLattice",
     "StreamingSummary",
     "tree_from_xml_with_values",
     "value_twig",

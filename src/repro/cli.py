@@ -6,8 +6,7 @@ Subcommands mirror the deployment workflow:
   parallel with ``--workers``), optionally prune δ-derivable patterns,
   write the summary to disk (``--store {dict,array}`` picks the count
   backend; ``array`` writes the compact binary container;
-  ``--shards N`` routes construction through the shard → merge path,
-  ``--stream`` through the streaming insert path — both bit-identical
+  ``--stream`` builds through the streaming insert path, bit-identical
   in counts to the one-shot build);
 * ``merge`` — combine two or more saved summaries of the same lattice
   level into one (counts add per pattern — the store monoid applied at
@@ -174,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="summary count backend (array = interned ids, compact binary file)",
     )
     p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "mine through the shard -> merge path with ~N subtree shards "
-            "(bit-identical to the serial path; --workers then fans out "
-            "whole shards)"
-        ),
-    )
-    p.add_argument(
         "--stream",
         action="store_true",
         help=(
@@ -236,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("auto", "plan", "array", "numpy"),
+        choices=("auto", "plan", "numpy"),
         default=None,
         metavar="NAME",
-        help="warm-replay backend for --batch: plan = legacy per-query "
-        "replay (default), array/numpy = vectorised flat-array kernels, "
-        "auto = fastest available; all are bit-identical",
+        help="warm-replay backend for --batch: plan = per-query plan "
+        "replay (default), numpy = vectorised flat-array kernels, "
+        "auto = numpy when importable, else plan; all are bit-identical",
     )
     p.add_argument(
         "--store",
@@ -458,13 +446,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _do_summarize(args: argparse.Namespace) -> int:
-    if args.shards is not None and args.stream:
-        raise CliUsageError(
-            "--shards and --stream are alternative construction paths; "
-            "give at most one"
-        )
-    if args.shards is not None and args.shards < 1:
-        raise CliUsageError(f"--shards must be >= 1, got {args.shards}")
     start = time.perf_counter()
     document = tree_from_xml_file(args.xml, include_attributes=args.attributes)
     parse_seconds = time.perf_counter() - start
@@ -480,7 +461,6 @@ def _do_summarize(args: argparse.Namespace) -> int:
             workers=args.workers,
             store=args.store,
             retry=_retry_policy(args),
-            shards=args.shards,
         )
     print(
         f"mined {summary.num_patterns} patterns "

@@ -12,7 +12,6 @@ from .diagnostics import ErrorProfile, EstimateInterval
 from .estimator import SelectivityEstimator, coerce_query_tree
 from .explain import Explanation, explain, explanation_from_spans
 from .fixed import FixedDecompositionEstimator
-from .incremental import IncrementalLattice
 from .lattice import LatticeSummary, build_lattice
 from .markov import MarkovPathEstimator
 from .online import WorkloadAwareLattice
@@ -36,7 +35,6 @@ __all__ = [
     "explain",
     "explanation_from_spans",
     "FixedDecompositionEstimator",
-    "IncrementalLattice",
     "LatticeSummary",
     "build_lattice",
     "MarkovPathEstimator",

@@ -106,8 +106,9 @@ class SummaryCatalog:
     def publish(self, name: str, summary: LatticeSummary) -> None:
         """Store a pre-built summary under ``name`` (and persist it).
 
-        The streaming-ingest path: an :class:`IncrementalLattice` (or any
-        other producer) snapshots its summary and publishes it here for
+        The streaming-ingest path: a
+        :class:`~repro.core.streaming.StreamingSummary` (or any other
+        producer) snapshots its summary and publishes it here for
         planners to consume.
         """
         self._check_name(name)

@@ -91,11 +91,12 @@ class SelectivityEstimator(ABC):
         core; ``chunk_size`` pins queries per task).
 
         ``backend`` picks how warm (already-compiled) shapes replay:
-        ``None``/``"plan"`` keeps the legacy per-query plan replay;
-        ``"array"`` and ``"numpy"`` run lowered flat-array kernel
-        programs (:mod:`repro.kernels`), ``"auto"`` the fastest backend
-        available.  Every backend is bit-identical — same float ops in
-        the same order per query — so this is purely a throughput knob.
+        ``None``/``"plan"`` keeps the per-query plan replay;
+        ``"numpy"`` runs lowered flat-array kernel programs
+        (:mod:`repro.kernels`), and ``"auto"`` picks numpy when it is
+        importable and plan replay otherwise.  Every backend is
+        bit-identical — same float ops in the same order per query — so
+        this is purely a throughput knob.
 
         ``retry`` sets the parallel path's per-chunk failure budget
         (:class:`~repro.resilience.RetryPolicy`; ignored when serial).
@@ -161,7 +162,7 @@ class SelectivityEstimator(ABC):
         return [self._estimate_tree(tree) for tree in trees]
 
     # ------------------------------------------------------------------
-    # Kernel batch path (backend="array" / "numpy")
+    # Kernel batch path (backend="numpy")
     # ------------------------------------------------------------------
 
     def _kernel_state(self) -> "KernelState":
@@ -190,14 +191,14 @@ class SelectivityEstimator(ABC):
         """
         state = self._kernel_state()
         if not obs.enabled:
-            return self._run_kernel_batch(trees, backend, state)
+            return self._run_kernel_batch(trees, state)
         with obs.span(
             "kernel_batch",
             backend=backend,
             estimator=self.name,
             queries=len(trees),
         ) as batch_span:
-            values = self._run_kernel_batch(trees, backend, state)
+            values = self._run_kernel_batch(trees, state)
             batch_span.set(programs=state.program_count)
         from ..kernels.record import record_kernel_batch
 
@@ -205,10 +206,7 @@ class SelectivityEstimator(ABC):
         return values
 
     def _run_kernel_batch(
-        self,
-        trees: Sequence[LabeledTree],
-        backend: str,
-        state: "KernelState",
+        self, trees: Sequence[LabeledTree], state: "KernelState"
     ) -> list[float]:
         results = [0.0] * len(trees)
         warm_indices: list[int] = []
@@ -226,7 +224,7 @@ class SelectivityEstimator(ABC):
                     self._before_kernel_cold()
                     results[index] = self._estimate_tree(tree)
             if warm_indices:
-                values = state.execute(backend, warm_ids, warm_plans)
+                values = state.execute(warm_ids, warm_plans)
                 for index, value in zip(warm_indices, values):
                     results[index] = value
         return results

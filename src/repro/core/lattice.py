@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .. import obs
 from ..mining.freqt import MiningResult, mine_lattice
-from ..mining.sharded import mine_lattice_sharded
 from ..store import ArrayStore, SummaryStore, coerce_store, make_store
 from ..store.errors import MergeError, TruncatedPayload, UnsupportedVersion
 from ..trees.canonical import (
@@ -96,7 +95,6 @@ class LatticeSummary:
         workers: int | None = None,
         store: str = "dict",
         retry: "RetryPolicy | None" = None,
-        shards: int | None = None,
     ) -> "LatticeSummary":
         """Mine a document and build its complete ``level``-lattice.
 
@@ -104,34 +102,17 @@ class LatticeSummary:
         (``None``/``1`` = serial, ``0`` = one per core); ``store`` picks
         the count backend (``"dict"``/``"array"``); ``retry`` gives
         parallel mining a failure budget (default: none — a worker
-        failure raises; see ``docs/robustness.md``).  ``shards`` routes
-        construction through the shard → merge path
-        (:func:`~repro.mining.sharded.mine_lattice_sharded`): the
-        document is split into ~``shards`` subtree shards, each mined
-        independently (``workers`` then fans out whole shards instead
-        of candidate chunks), and the shard stores merged.
+        failure raises; see ``docs/robustness.md``).
         The resulting summary is bit-identical across workers, backends,
-        shard counts, and any injected-fault schedule the budget absorbs
-        (see ``docs/parallelism.md`` and ``docs/architecture.md``).
+        and any injected-fault schedule the budget absorbs (see
+        ``docs/parallelism.md`` and ``docs/architecture.md``).
         """
         sink = make_store(store)
         start = time.perf_counter()
         # Mining streams each level straight into the sink, so the array
         # backend interns ids as patterns are discovered instead of
         # materialising a tuple-keyed dict first.
-        if shards is not None:
-            mined = mine_lattice_sharded(
-                document,
-                level,
-                shards=shards,
-                workers=workers,
-                sink=sink,
-                retry=retry,
-            )
-        else:
-            mined = mine_lattice(
-                document, level, workers=workers, sink=sink, retry=retry
-            )
+        mined = mine_lattice(document, level, workers=workers, sink=sink, retry=retry)
         elapsed = time.perf_counter() - start
         summary = cls(
             mined.max_size,

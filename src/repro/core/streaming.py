@@ -1,15 +1,37 @@
 """Streaming summary maintenance: insert/delete deltas as monoid merges.
 
-:class:`~repro.core.incremental.IncrementalLattice` keeps one mutable
-count table exact after every append.  This module re-layers that idea
-on the store monoid (:meth:`~repro.store.SummaryStore.merge`): the
-summary is a **base** :class:`~repro.core.lattice.LatticeSummary` plus a
-**pending** :class:`~repro.store.DictStore` of *signed* deltas.  Every
-:meth:`~StreamingSummary.insert` / :meth:`~StreamingSummary.delete`
-computes its exact count delta (the incremental layer's three-class
-argument, run forward or backward) and folds it into the pending store
-with one monoid merge — so a batch of updates composes exactly like
-shard stores do in :mod:`repro.mining.sharded`.
+The paper notes (§2.2, §6) that TreeLattice "by design is also
+incremental in nature and can maintain summaries on-line", in the spirit
+of XPathLearner, but does not evaluate it.  This module maintains a
+summary exactly under the dominant update pattern of record-style XML:
+**inserting or deleting a record subtree under the document root** (a
+new auction, a retracted protein entry, a new movie).
+
+Correctness argument.  A twig match image is connected (every query edge
+maps to a document edge), so after grafting record ``R`` under root
+``r`` every match falls into exactly one of three disjoint classes:
+
+1. *old-only* — entirely inside the old document: already counted;
+2. *record-only* — entirely inside ``R``'s nodes: counted by mining the
+   record in isolation (its internal structure is unchanged by the
+   graft);
+3. *spanning* — uses nodes on both sides, hence contains the edge
+   ``r -> root(R)``, hence contains ``r``; and since ``r`` has no
+   parent, the query node mapped to ``r`` must be the query root.  So
+   every spanning match is **anchored at the document root**, and the
+   class-3 contribution is the change in root-anchored pattern counts
+   (:func:`~repro.mining.freqt.anchored_counts`).
+
+An insert therefore adds the record's mined counts plus the change in
+root-anchored counts; a delete runs the same argument backward.  The
+result is bit-exact with a full rebuild — asserted against
+:func:`~repro.mining.freqt.mine_lattice` in the test suite.
+
+The summary is a **base** :class:`~repro.core.lattice.LatticeSummary`
+plus a **pending** :class:`~repro.store.DictStore` of *signed* deltas:
+every :meth:`~StreamingSummary.insert` / :meth:`~StreamingSummary.delete`
+folds its exact count delta into the pending store with one monoid
+merge (:meth:`~repro.store.SummaryStore.merge`).
 
 Bounded staleness contract
 --------------------------
@@ -31,13 +53,11 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..mining.freqt import mine_lattice
-from ..mining.sharded import anchored_counts
+from ..mining.freqt import anchored_counts, mine_lattice
 from ..store.dict_store import DictStore
 from ..trees.canonical import Canon
 from ..trees.labeled_tree import LabeledTree, TreeBuildError
 from ..trees.matching import DocumentIndex
-from .incremental import _graft
 from .lattice import LatticeSummary
 
 __all__ = ["StreamingSummary", "DEFAULT_MAX_PENDING"]
@@ -72,17 +92,13 @@ class StreamingSummary:
         *,
         store: str = "dict",
         max_pending: int = DEFAULT_MAX_PENDING,
-        shards: int | None = None,
-        workers: int | None = None,
     ) -> None:
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
         self._document = document
         self.level = level
         self.max_pending = max_pending
-        base = LatticeSummary.build(
-            document, level, store=store, shards=shards, workers=workers
-        )
+        base = LatticeSummary.build(document, level, store=store)
         if set(base.complete_sizes) != set(range(1, level + 1)):
             # The miner stops at the first empty level and only marks
             # mined levels complete; an empty level makes every deeper
@@ -311,3 +327,20 @@ class StreamingSummary:
             document_nodes=self._document.size,
             seconds=round(elapsed, 6),
         )
+
+
+def _graft(document: LabeledTree, parent: int, record: LabeledTree) -> int:
+    """Copy ``record`` as a new child subtree of ``parent``.
+
+    Returns the document id of the copied record root.
+    """
+    mapping = {
+        record.root: document.add_child(parent, record.label(record.root))  # lint: disable=twig-arg-mutation -- grafting IS this helper's job
+    }
+    for node in record.preorder():
+        if node == record.root:
+            continue
+        mapping[node] = document.add_child(  # lint: disable=twig-arg-mutation -- see above
+            mapping[record.parent(node)], record.label(node)
+        )
+    return mapping[record.root]

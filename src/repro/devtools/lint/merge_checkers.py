@@ -1,8 +1,8 @@
 """Store-merge purity: the monoid laws need machine help too.
 
 ``store-merge-purity``
-    The shard → merge mining path and the ``repro merge`` CLI both rest
-    on :meth:`~repro.store.base.SummaryStore.merge` being a *pure*
+    Streaming deltas and the ``repro merge`` CLI both rest on
+    :meth:`~repro.store.base.SummaryStore.merge` being a *pure*
     commutative-monoid operation: same operands, same result, operands
     untouched.  The property tests sample that promise; this checker
     pins the three ways an implementation quietly breaks it:

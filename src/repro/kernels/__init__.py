@@ -1,22 +1,19 @@
 """Vectorised flat-array estimation kernels.
 
-This package lowers the per-shape compiled decomposition plans (PR 5's
-``CompiledPlan`` / ``CoverPlan`` / ``GramPlan``) to flat int-array
+This package lowers the per-shape compiled decomposition plans
+(``CompiledPlan`` / ``CoverPlan`` / ``GramPlan``) to flat int-array
 programs — an opcode stream plus packed operand table over dense slot
-indices — and executes whole query batches through one of two
-interchangeable backends:
+indices — and executes whole query batches with the ``"numpy"``
+backend: whole-batch vectorised column ops over one concatenated slot
+vector (:mod:`repro.kernels.exec_numpy`), used when the optional numpy
+dependency is importable.
 
-* ``"array"`` — a dependency-free ``array('d')`` interpreter
-  (:mod:`repro.kernels.exec_python`);
-* ``"numpy"`` — whole-batch vectorised column ops over one
-  concatenated slot vector (:mod:`repro.kernels.exec_numpy`),
-  used when the optional numpy dependency is importable.
-
-Both backends are bit-identical to legacy plan replay (the ``"plan"``
-backend) — same float operations in the same order per query — which
-the cross-backend hypothesis suite asserts.  Backend selection lives in
-:mod:`repro.kernels.backend`; estimators expose it via
-``estimate_batch(backend=...)`` and the CLI via ``--backend``.
+The backend is bit-identical to plan replay (the ``"plan"`` backend,
+which stays the default and the reference) — same float operations in
+the same order per query — which the cross-backend hypothesis suite
+asserts.  Backend selection lives in :mod:`repro.kernels.backend`;
+estimators expose it via ``estimate_batch(backend=...)`` and the CLI
+via ``--backend``.
 
 :class:`KernelState` is the per-estimator cache tying it together:
 lowered programs keyed by interned pattern id (picklable — shipped once
@@ -93,37 +90,31 @@ class KernelState:
 
     def execute(
         self,
-        backend: str,
         pattern_ids: list[int],
         plans: list["PlanT"],
     ) -> list[float]:
-        """Evaluate one program per query on ``backend``, in order.
+        """Evaluate one program per query with numpy, in order.
 
         ``pattern_ids`` and ``plans`` are parallel lists (repeats are
-        expected — that is the point of a warm batch).  The ``"numpy"``
-        backend resolves the batch's distinct-shape key against the
-        prepared-batch cache; ``"array"`` interprets program by program.
+        expected — that is the point of a warm batch).  The batch's
+        shape key is resolved against the prepared-batch cache.
         """
         programs = [
             self.program_for(pattern_id, plan)
             for pattern_id, plan in zip(pattern_ids, plans)
         ]
-        if backend == "numpy":
-            key = tuple(pattern_ids)
-            prepared = self._prepared.get(key)
-            if prepared is None:
-                from .exec_numpy import prepare_batch
+        key = tuple(pattern_ids)
+        prepared = self._prepared.get(key)
+        if prepared is None:
+            from .exec_numpy import prepare_batch
 
-                if len(self._prepared) >= self._PREPARED_LIMIT:
-                    self._prepared.clear()
-                prepared = prepare_batch(programs)
-                self._prepared[key] = prepared
-                record_prepared_batch("numpy", len(programs), prepared.num_ops)
-            result: list[float] = prepared.run()
-            return result
-        from .exec_python import execute_batch
-
-        return execute_batch(programs)
+            if len(self._prepared) >= self._PREPARED_LIMIT:
+                self._prepared.clear()
+            prepared = prepare_batch(programs)
+            self._prepared[key] = prepared
+            record_prepared_batch("numpy", len(programs), prepared.num_ops)
+        result: list[float] = prepared.run()
+        return result
 
     def __getstate__(self) -> dict[int, KernelProgram]:
         return self._programs

@@ -1,23 +1,20 @@
 """Kernel backend detection and selection.
 
-Two interchangeable executors evaluate lowered
-:class:`~repro.kernels.program.KernelProgram` batches:
+One executor evaluates lowered
+:class:`~repro.kernels.program.KernelProgram` batches: ``"numpy"`` —
+vectorised column ops over one concatenated slot vector for the whole
+batch (:mod:`repro.kernels.exec_numpy`), available only when numpy is
+importable (``pip install repro[numpy]``).
 
-* ``"array"`` — the dependency-free pure-Python interpreter over
-  ``array('d')`` slot vectors (:mod:`repro.kernels.exec_python`);
-* ``"numpy"`` — vectorised column ops over one concatenated slot
-  vector for the whole batch (:mod:`repro.kernels.exec_numpy`),
-  available only when numpy is importable (``pip install repro[numpy]``).
-
-``"plan"`` names the legacy per-query compiled-plan replay path (no
-kernel lowering at all); it is the default so existing callers keep
-their exact execution shape.  ``"auto"`` resolves to the fastest
-available kernel backend.  All backends are bit-identical by
+``"plan"`` names the per-query compiled-plan replay path (no kernel
+lowering at all); it is the default and the reference every kernel
+result is tested against.  ``"auto"`` resolves to numpy when it is
+importable and to plan otherwise.  All backends are bit-identical by
 construction — selection is purely a throughput choice.
 
 Setting ``REPRO_DISABLE_NUMPY=1`` in the environment hides an installed
-numpy, forcing the fallback import path; the CI no-numpy legs and the
-fallback tests rely on it.
+numpy, forcing the plan fallback; the CI no-numpy legs and the fallback
+tests rely on it.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ def _numpy_available() -> bool:
 HAVE_NUMPY = _numpy_available()
 
 #: Backends that evaluate lowered kernel programs (excludes ``"plan"``).
-KERNEL_BACKENDS = ("array", "numpy") if HAVE_NUMPY else ("array",)
+KERNEL_BACKENDS: tuple[str, ...] = ("numpy",) if HAVE_NUMPY else ()
 
 
 def available_backends() -> tuple[str, ...]:
@@ -58,18 +55,15 @@ def available_backends() -> tuple[str, ...]:
 def resolve_backend(backend: str | None) -> str:
     """Normalise a user-facing backend knob to a concrete backend name.
 
-    ``None`` keeps the legacy compiled-plan replay (``"plan"``);
-    ``"auto"`` picks the fastest available kernel backend (numpy when
-    importable, the ``array('d')`` interpreter otherwise).  Explicit
+    ``None`` keeps the compiled-plan replay (``"plan"``); ``"auto"``
+    picks numpy when importable and plan replay otherwise.  Explicit
     names are validated: asking for ``"numpy"`` without numpy installed
     raises :class:`ValueError` instead of silently degrading.
     """
     if backend is None or backend == "plan":
         return "plan"
     if backend == "auto":
-        return "numpy" if HAVE_NUMPY else "array"
-    if backend == "array":
-        return "array"
+        return "numpy" if HAVE_NUMPY else "plan"
     if backend == "numpy":
         if not HAVE_NUMPY:
             raise ValueError(
@@ -80,5 +74,5 @@ def resolve_backend(backend: str | None) -> str:
         return "numpy"
     raise ValueError(
         f"unknown estimation backend {backend!r} "
-        "(expected one of: auto, plan, array, numpy)"
+        "(expected one of: auto, plan, numpy)"
     )

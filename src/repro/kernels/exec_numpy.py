@@ -7,7 +7,7 @@ column gathers and elementwise ops per group instead of a Python-level
 loop per plan op — the index arrays (the expensive part) are built once
 per distinct batch shape and cached by :class:`~repro.kernels.KernelState`.
 
-Bit-identity with the scalar executors is engineered per opcode:
+Bit-identity with scalar plan replay is engineered per opcode:
 
 * elementwise ``*``, ``/`` and ``+`` on float64 are the IEEE-754 ops
   CPython's scalar arithmetic performs, so MUL / DIV / the RATIO

@@ -5,11 +5,10 @@ A :class:`KernelProgram` is the flat-array form of one per-shape plan
 a constant slot vector (``array('d')``), an opcode stream
 (``array('B')``) and a packed operand table (``array('l')``).  Ops are
 *level-scheduled* at lowering time — stably sorted by dataflow depth so
-every op only reads slots produced at strictly lower levels.  The pure
-Python executor (:mod:`repro.kernels.exec_python`) ignores the levels
-and replays ops in the scheduled order; the numpy executor
-(:mod:`repro.kernels.exec_numpy`) uses the level boundaries to evaluate
-whole batches one ``(level, opcode, arity)`` column group at a time.
+every op only reads slots produced at strictly lower levels.  The numpy
+executor (:mod:`repro.kernels.exec_numpy`) uses the level boundaries to
+evaluate whole batches one ``(level, opcode, arity)`` column group at a
+time.
 
 Bit-identity with legacy plan replay is the design constraint, not a
 goal: every opcode reproduces the exact scalar float sequence of the
@@ -27,7 +26,7 @@ Opcodes::
 ``GramPlan``'s ``window / overlap`` divides Python *ints* (correctly
 rounded true division, which differs from ``float(w) / float(o)`` once
 counts exceed 2**53), so the lowerer precomputes each gram ratio as a
-base constant and emits ``MUL`` — the executors never re-divide.
+base constant and emits ``MUL`` — the executor never re-divides.
 """
 
 from __future__ import annotations

@@ -1,27 +1,22 @@
 """Frequent subtree mining: the level-wise lattice enumeration engine.
 
-Two construction paths build the same summary: the whole-document
-level-wise miner (:func:`mine_lattice`) and the compositional shard →
-merge path (:func:`mine_lattice_sharded`), which mines disjoint subtree
-shards independently, counts residue-rooted boundary patterns once, and
-merges through the store monoid — bit-identical to the serial path,
-counts and dict order.
+One construction path builds every summary: the whole-document
+level-wise miner (:func:`mine_lattice`), serial or with its candidate
+counting fanned out over workers.  :func:`anchored_counts` runs the
+same enumeration restricted to matches rooted at given nodes; streaming
+maintenance uses it for the spanning-match delta of an update.
 """
 
-from .freqt import MiningResult, mine_lattice, pattern_counts_by_level
-from .sharded import (
+from .freqt import (
+    MiningResult,
     anchored_counts,
-    merge_shard_stores,
-    mine_lattice_sharded,
-    mine_shard_store,
+    mine_lattice,
+    pattern_counts_by_level,
 )
 
 __all__ = [
     "MiningResult",
     "mine_lattice",
-    "mine_lattice_sharded",
-    "mine_shard_store",
     "anchored_counts",
-    "merge_shard_stores",
     "pattern_counts_by_level",
 ]

@@ -29,11 +29,9 @@ off.  Both paths submit through the fault-tolerant retry engine
 from .batch import DEFAULT_CHUNKS_PER_WORKER, estimate_trees_parallel
 from .mining import ParallelMiningPool
 from .pool import PoolSupervisor, available_workers, chunked, resolve_workers
-from .sharding import ShardMiningPool
 
 __all__ = [
     "ParallelMiningPool",
-    "ShardMiningPool",
     "estimate_trees_parallel",
     "DEFAULT_CHUNKS_PER_WORKER",
     "PoolSupervisor",

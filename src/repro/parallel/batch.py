@@ -100,8 +100,8 @@ def estimate_trees_parallel(
     memory), which affects speed only — never a single estimated value.
 
     ``backend`` selects the per-chunk replay path inside each worker
-    (an already-resolved name: ``"plan"`` / ``"array"`` / ``"numpy"``).
-    For kernel backends the parent lowers every warm shape's plan to a
+    (an already-resolved name: ``"plan"`` / ``"numpy"``).
+    For the kernel backend the parent lowers every warm shape's plan to a
     flat-array program *before* the fan-out, so the programs travel
     once per worker with the pickled estimator (through the pool
     initializer) and are reused across every chunk that worker runs —

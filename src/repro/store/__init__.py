@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from ..trees.canonical import Canon
 from .array_store import ArrayStore
 from .base import SummaryStore
-from .dict_store import DictStore, load_shard_payload
+from .dict_store import DictStore
 from .errors import (
     ChecksumMismatch,
     MergeError,
@@ -31,7 +31,6 @@ __all__ = [
     "STORE_BACKENDS",
     "make_store",
     "coerce_store",
-    "load_shard_payload",
     "StoreError",
     "StorePayloadError",
     "TruncatedPayload",

@@ -22,7 +22,8 @@ the count *mapping*; the result's insertion order is deterministic but
 argument-sensitive — ``self``'s keys first in ``self``'s order, then
 ``other``'s new keys in ``other``'s order — which makes both
 ``merge(a, empty)`` and ``merge(empty, a)`` reproduce ``a`` byte for
-byte.  Sharded mining, streaming deltas, and the ``repro merge`` CLI
+byte.  Streaming deltas, :meth:`LatticeSummary.merge
+<repro.core.lattice.LatticeSummary.merge>`, and the ``repro merge`` CLI
 are all built on this one operation.
 
 Store internals (``_counts`` and friends) are private to this package;

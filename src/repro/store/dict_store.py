@@ -20,7 +20,7 @@ from .base import SummaryStore
 from .errors import TruncatedPayload, UnsupportedVersion
 from .integrity import payload_checksum, verify_checksum
 
-__all__ = ["DictStore", "load_shard_payload"]
+__all__ = ["DictStore"]
 
 #: Version stamp embedded in persisted payloads.  The dict backend
 #: gained payloads in the checksummed era, so 2 is its first version
@@ -29,12 +29,6 @@ PAYLOAD_VERSION = 2
 
 #: Fault-injection site for the encoded entry stream.
 _CORRUPTION_SITE = "store.dict_payload"
-
-#: Fault-injection site for worker-shipped shard payloads.  The parent
-#: re-verifies every payload a shard-mining worker returns through this
-#: site; chaos specs target it as ``corrupt@store.load`` and the CI
-#: chaos job's ``merge`` leg asserts the typed ``ChecksumMismatch``.
-TRANSPORT_SITE = "store.load"
 
 
 def _deep_canon_bytes(key: Canon, seen: set[int]) -> int:
@@ -129,7 +123,7 @@ class DictStore(SummaryStore):
     # -- persistence ----------------------------------------------------
 
     def to_payload(self) -> dict[str, object]:
-        """Versioned, checksummed payload (sharding/embedding callers).
+        """Versioned, checksummed payload (for embedding callers).
 
         Entries are encoded in insertion order as ``count\\tkey`` lines,
         so a round trip reproduces the store bit-identically — count
@@ -180,19 +174,3 @@ class DictStore(SummaryStore):
             ) from exc
         return store
 
-
-def load_shard_payload(payload: dict[str, object]) -> DictStore:
-    """Rebuild a worker-shipped shard store, re-verifying its CRC32.
-
-    Shard-mining workers return their per-shard counts as
-    :meth:`DictStore.to_payload` dicts; the parent rebuilds each one
-    through this function so bytes corrupted in flight (or by a chaos
-    plan targeting ``store.load``) die with a typed
-    :class:`~repro.store.errors.ChecksumMismatch` instead of merging
-    garbage into the summary.
-    """
-    data = payload.get("data")
-    if isinstance(data, bytes):
-        payload = dict(payload)
-        payload["data"] = corrupt_bytes(TRANSPORT_SITE, data)
-    return DictStore.from_payload(payload)

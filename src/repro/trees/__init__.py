@@ -34,7 +34,7 @@ from .serialize import (
     xml_byte_size,
 )
 from .histograms import RangeHistogram, tree_from_xml_with_ranges
-from .regions import Region, RegionIndex, ShardPlan, plan_shards
+from .regions import Region, RegionIndex
 from .twig import TwigParseError, TwigQuery
 from .twigstack import TwigStackJoin, path_stack_solutions
 from .twigjoin import (
@@ -77,8 +77,6 @@ __all__ = [
     "TwigQuery",
     "Region",
     "RegionIndex",
-    "ShardPlan",
-    "plan_shards",
     "PathJoin",
     "count_via_enumeration",
     "enumerate_matches",

@@ -12,22 +12,15 @@ interval.  Structural relationships reduce to arithmetic:
 The twig-join engine (:mod:`repro.trees.twigjoin`) works entirely on
 these encodings plus per-label streams, the way a real XML database
 would read them off an element index rather than the document tree.
-
-The same interval arithmetic drives document **sharding**
-(:func:`plan_shards`): subtree sizes fall out of ``end - start + 1``,
-so the planner can walk down from the root splitting oversized
-subtrees until every shard fits a size target — the region-organised
-storage shape native XML engines use, applied to mining fan-out.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .labeled_tree import LabeledTree
 
-__all__ = ["Region", "RegionIndex", "ShardPlan", "plan_shards"]
+__all__ = ["Region", "RegionIndex"]
 
 
 @dataclass(frozen=True, order=True)
@@ -98,66 +91,3 @@ class RegionIndex:
     def stream(self, label: str) -> list[Region]:
         """Document-order regions of all ``label`` nodes (empty if none)."""
         return self.streams.get(label, [])
-
-    def subtree_size(self, node: int) -> int:
-        """Number of nodes in ``node``'s subtree (self included)."""
-        region = self.regions[node]
-        return region.end - region.start + 1
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Partition of a document into disjoint shard subtrees + residue.
-
-    ``roots`` are subtree roots in document order whose subtrees are
-    pairwise disjoint; ``residue`` holds every node outside all shard
-    subtrees (the split "spine": ancestors of the shard roots), also in
-    document order.  Together they partition the node set exactly —
-    :func:`repro.mining.sharded.mine_lattice_sharded` mines each shard
-    subtree independently and counts residue-rooted pattern occurrences
-    once against the full document, so no occurrence is lost or double
-    counted.
-    """
-
-    roots: tuple[int, ...]
-    residue: tuple[int, ...]
-    #: Requested shard granularity (the planner may return more roots
-    #: than this when fanout forces it, or fewer for tiny documents).
-    requested: int
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.roots)
-
-
-def plan_shards(
-    tree: LabeledTree, shards: int, *, index: RegionIndex | None = None
-) -> ShardPlan:
-    """Split ``tree`` into ~``shards`` disjoint subtree shards.
-
-    Walks down from the root: a subtree no bigger than
-    ``ceil(size / shards)`` (or a leaf) becomes a shard root; an
-    oversized internal node joins the residue and its children are
-    considered instead.  ``shards=1`` degenerates to one shard holding
-    the whole document and an empty residue, which makes the sharded
-    mining path collapse to the serial one.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    regions = index if index is not None else RegionIndex(tree)
-    target = math.ceil(tree.size / shards)
-    roots: list[int] = []
-    residue: list[int] = []
-    # Stack seeded with the root; children pushed in reverse keep the
-    # traversal (and therefore roots/residue) in document order.
-    stack: list[int] = [tree.root]
-    while stack:
-        node = stack.pop()
-        children = tree.children[node]
-        if regions.subtree_size(node) <= target or not children:
-            roots.append(node)
-            continue
-        residue.append(node)
-        for child in reversed(children):
-            stack.append(child)
-    return ShardPlan(roots=tuple(roots), residue=tuple(residue), requested=shards)

@@ -541,15 +541,17 @@ class TestStatsLatencyQuantiles:
         assert "latency p50/p90/p99" in printed
 
 
-class TestShardedSummarize:
-    def test_shards_writes_identical_file(self, xml_file, tmp_path, capsys):
-        serial, sharded = tmp_path / "serial.tl", tmp_path / "sharded.tl"
+class TestSummarizeConstructionPaths:
+    def test_workers_writes_identical_file(self, xml_file, tmp_path, capsys):
+        serial, parallel = tmp_path / "serial.tl", tmp_path / "parallel.tl"
         assert main(["summarize", str(xml_file), "-o", str(serial)]) == 0
         assert (
-            main(["summarize", str(xml_file), "-o", str(sharded), "--shards", "3"])
+            main(
+                ["summarize", str(xml_file), "-o", str(parallel), "--workers", "2"]
+            )
             == 0
         )
-        assert serial.read_bytes() == sharded.read_bytes()
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_stream_writes_identical_file(self, xml_file, tmp_path, capsys):
         serial, streamed = tmp_path / "serial.tl", tmp_path / "streamed.tl"
@@ -559,28 +561,6 @@ class TestShardedSummarize:
         )
         assert serial.read_bytes() == streamed.read_bytes()
         assert "streamed" in capsys.readouterr().out
-
-    def test_shards_and_stream_conflict(self, xml_file, tmp_path, capsys):
-        code = main(
-            [
-                "summarize",
-                str(xml_file),
-                "-o",
-                str(tmp_path / "x.tl"),
-                "--shards",
-                "2",
-                "--stream",
-            ]
-        )
-        assert code == 2
-        assert "at most one" in capsys.readouterr().err
-
-    def test_zero_shards_is_a_usage_error(self, xml_file, tmp_path, capsys):
-        code = main(
-            ["summarize", str(xml_file), "-o", str(tmp_path / "x.tl"), "--shards", "0"]
-        )
-        assert code == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
 
 
 class TestMerge:

@@ -150,19 +150,18 @@ class TestValuePipelines:
         assert estimate == pytest.approx(true, rel=0.35)
 
     def test_incremental_feeding_a_catalog(self, tmp_path):
-        """Streaming ingest: records append incrementally, snapshots are
-        published to a catalog, planners estimate from the snapshot."""
-        from repro import IncrementalLattice, LabeledTree, SummaryCatalog
+        """Streaming ingest: records are inserted one by one, exact
+        snapshots are published to a catalog, planners estimate from
+        the snapshot."""
+        from repro import LabeledTree, StreamingSummary, SummaryCatalog
         from repro.core.catalog import SummaryCatalog as _SC
 
         document = LabeledTree.from_nested(("db", [("rec", ["a", "b"])]))
-        maintained = IncrementalLattice(document, level=3)
+        maintained = StreamingSummary(document, 3, max_pending=0)
         catalog = SummaryCatalog(tmp_path / "cat")
 
         for generation in range(3):
-            maintained.append_record(
-                LabeledTree.from_nested(("rec", ["a", "b"]))
-            )
+            maintained.insert(LabeledTree.from_nested(("rec", ["a", "b"])))
             catalog.publish("db", maintained.summary())
 
         reopened = _SC(tmp_path / "cat")

@@ -1,11 +1,11 @@
 """Kernel layer tests: backends, bit-identity, and bulk gathers.
 
-The flat-array kernel executors (``repro.kernels``) promise to be a
-pure throughput choice: every backend must return the same bit pattern
-as the legacy compiled-plan replay and emit the same observability
-counters.  The property suite here pins that promise across random
-twigs for all three plan families, and the unit tests cover the
-backend-selection knob, the CI numpy/no-numpy matrix contract, and
+The flat-array kernel executor (``repro.kernels``) promises to be a
+pure throughput choice: it must return the same bit pattern as the
+compiled-plan replay and emit the same observability counters.  The
+property suite here pins that promise across random twigs for all
+three plan families, and the unit tests cover the backend-selection
+knob, the CI numpy/no-numpy matrix contract, and
 :meth:`ArrayStore.gather_counts`.
 """
 
@@ -32,7 +32,6 @@ from repro.kernels import (
     lower_plan,
     resolve_backend,
 )
-from repro.kernels.exec_python import execute_program
 from repro.store.array_store import ArrayStore
 
 #: Labels of the Figure 1(a) document (the ``figure1_lattice`` fixture).
@@ -92,18 +91,17 @@ class TestBackendSelection:
     def test_resolve_defaults(self) -> None:
         assert resolve_backend(None) == "plan"
         assert resolve_backend("plan") == "plan"
-        assert resolve_backend("array") == "array"
-        expected = "numpy" if HAVE_NUMPY else "array"
+        expected = "numpy" if HAVE_NUMPY else "plan"
         assert resolve_backend("auto") == expected
 
     def test_resolve_rejects_unknown(self) -> None:
-        with pytest.raises(ValueError, match="unknown estimation backend"):
-            resolve_backend("cuda")
+        for name in ("cuda", "array"):
+            with pytest.raises(ValueError, match="unknown estimation backend"):
+                resolve_backend(name)
 
     def test_available_backends_include_fallback(self) -> None:
         backends = available_backends()
         assert backends[0] == "plan"
-        assert "array" in backends
         assert set(KERNEL_BACKENDS) == set(backends) - {"plan"}
 
     def test_numpy_presence_matches_ci_leg(self) -> None:
@@ -124,8 +122,8 @@ class TestBackendSelection:
         code = (
             "from repro.kernels import HAVE_NUMPY, KERNEL_BACKENDS, resolve_backend\n"
             "assert not HAVE_NUMPY\n"
-            "assert KERNEL_BACKENDS == ('array',)\n"
-            "assert resolve_backend('auto') == 'array'\n"
+            "assert KERNEL_BACKENDS == ()\n"
+            "assert resolve_backend('auto') == 'plan'\n"
             "try:\n"
             "    resolve_backend('numpy')\n"
             "except ValueError as exc:\n"
@@ -165,8 +163,11 @@ class TestBackendSelection:
             supports_kernels = False
 
         plain = Plain(figure1_lattice)
-        with pytest.raises(ValueError, match="does not support kernel backend"):
-            plain.estimate_batch([query], backend="array")
+        if HAVE_NUMPY:
+            with pytest.raises(
+                ValueError, match="does not support kernel backend"
+            ):
+                plain.estimate_batch([query], backend="numpy")
         # "auto" degrades silently instead of raising.
         assert plain.estimate_batch([query], backend="auto") == [
             estimator.estimate(query)
@@ -254,12 +255,16 @@ class TestBackendEquivalence:
         twig.add_child(0, "laptops")
         twig.add_child(0, "desktops")
         with pytest.raises(ValueError, match="linear path"):
-            estimator.estimate_batch([twig], backend="array")
+            estimator.estimate_batch([twig], backend="auto")
 
     def test_lowered_program_matches_plan_evaluate(
         self, figure1_lattice
     ) -> None:
-        """Direct lowering check, no batch machinery in between."""
+        """Direct lowering check, no estimator batch machinery in between."""
+        if not HAVE_NUMPY:
+            pytest.skip("lowered programs only run on the numpy executor")
+        from repro.kernels.exec_numpy import prepare_batch
+
         estimator = RecursiveDecompositionEstimator(figure1_lattice, voting=True)
         queries = [
             LabeledTree.path(["computer", "laptops", "laptop"]),
@@ -269,7 +274,7 @@ class TestBackendEquivalence:
         warm = list(estimator._kernel_warm_plans())
         assert warm
         for _pattern_id, plan in warm:
-            assert execute_program(lower_plan(plan)) == plan.evaluate()
+            assert prepare_batch([lower_plan(plan)]).run() == [plan.evaluate()]
 
     def test_parallel_kernel_batch_matches_serial(self, figure1_lattice) -> None:
         queries = [

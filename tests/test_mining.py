@@ -1,10 +1,13 @@
 """Unit tests for the level-wise lattice miner."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro import DocumentIndex, LabeledTree, count_matches, mine_lattice
-from repro.mining import pattern_counts_by_level
+from repro.mining import anchored_counts, pattern_counts_by_level
 from repro.trees.canonical import canon_from_nested, canon_size
 
 from .conftest import brute_force_patterns
+from .test_properties import random_tree
 
 
 class TestLevelOne:
@@ -89,15 +92,6 @@ class TestResultHelpers:
     def test_missing_level_empty(self, figure1_doc):
         assert mine_lattice(figure1_doc, 2).patterns(9) == {}
 
-    def test_root_maps_kept_on_request(self, figure1_doc):
-        without = mine_lattice(figure1_doc, 2)
-        with_maps = mine_lattice(figure1_doc, 2, keep_root_maps=True)
-        assert without.root_maps is None
-        assert with_maps.root_maps
-        # Root maps must agree with the counts.
-        for pattern, count in with_maps.patterns(2).items():
-            assert sum(with_maps.root_maps[pattern].values()) == count
-
     def test_invalid_max_size(self, figure1_doc):
         import pytest
 
@@ -117,3 +111,32 @@ class TestPatternCountsByLevel:
         counts = pattern_counts_by_level(figure1_doc, 3)
         assert counts[1] == len(figure1_doc.distinct_labels())
         assert all(isinstance(v, int) for v in counts.values())
+
+
+class TestAnchoredCounts:
+    def test_empty_anchor_set_counts_nothing(self):
+        tree = LabeledTree.from_nested(("a", [("b", [])]))
+        assert anchored_counts(DocumentIndex(tree), (), 3) == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=random_tree(labels="abcd"), level=st.integers(1, 3))
+    def test_all_nodes_anchored_recovers_full_counts(self, tree, level):
+        # Every occurrence maps its root to exactly one node, so
+        # anchoring at every node recovers the whole-document counts.
+        index = DocumentIndex(tree)
+        full = dict(mine_lattice(tree, level).all_patterns())
+        assert anchored_counts(index, tuple(range(tree.size)), level) == full
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=random_tree(labels="abcd"), level=st.integers(1, 3))
+    def test_anchor_partition_sums_to_full_counts(self, tree, level):
+        # Splitting the anchor set splits the counts additively, which is
+        # what lets a streaming update difference root-anchored counts.
+        index = DocumentIndex(tree)
+        mid = tree.size // 2
+        low = anchored_counts(index, tuple(range(mid)), level)
+        high = anchored_counts(index, tuple(range(mid, tree.size)), level)
+        total: dict = dict(low)
+        for key, count in high.items():
+            total[key] = total.get(key, 0) + count
+        assert total == dict(mine_lattice(tree, level).all_patterns())

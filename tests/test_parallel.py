@@ -134,12 +134,6 @@ class TestParallelMining:
                 counted = pool.count_candidates(candidates)
                 assert counted == {c: serial.levels[size][c] for c in candidates}
 
-    def test_keep_root_maps_stays_serial(self, figure1_doc: LabeledTree) -> None:
-        # Root maps live in worker processes, so the miner falls back to
-        # serial counting rather than returning empty maps.
-        result = mine_lattice(figure1_doc, 3, keep_root_maps=True, workers=2)
-        assert result.root_maps, "root maps must survive a workers= request"
-
     def test_summary_build_accepts_workers(self, figure1_doc: LabeledTree) -> None:
         serial = LatticeSummary.build(figure1_doc, 3)
         parallel = LatticeSummary.build(figure1_doc, 3, workers=2)

@@ -2,7 +2,7 @@
 
 Covers the invariants the extensions promise: enumeration agrees with
 the counting DP; region encodings reproduce parent/ancestor structure;
-incremental maintenance is bit-exact with rebuilds; the path join
+streaming maintenance is bit-exact with rebuilds; the path join
 agrees with match semantics on linear queries; bucketed values keep the
 matcher exact.
 """
@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     DocumentIndex,
     LabeledTree,
+    StreamingSummary,
     count_matches,
     mine_lattice,
 )
-from repro.core.incremental import IncrementalLattice
 from repro.trees.regions import RegionIndex
 from repro.trees.twigjoin import PathJoin, count_via_enumeration
 
@@ -98,12 +98,12 @@ class TestIncrementalProperties:
     @settings(max_examples=15, deadline=None)
     def test_append_equals_rebuild(self, data):
         doc = data.draw(random_tree(min_size=1, max_size=8, labels="abc"))
-        inc = IncrementalLattice(doc.copy(), 3)
+        streaming = StreamingSummary(doc.copy(), 3, max_pending=0)
         for _ in range(data.draw(st.integers(1, 3))):
             record = data.draw(random_tree(min_size=1, max_size=5, labels="abc"))
-            inc.append_record(record)
-        rebuilt = mine_lattice(inc.document, 3).all_patterns()
-        assert dict(inc.summary().patterns()) == rebuilt
+            streaming.insert(record)
+        rebuilt = mine_lattice(streaming.document, 3).all_patterns()
+        assert dict(streaming.summary().patterns()) == rebuilt
 
 
 class TestValueProperties:

@@ -1,6 +1,6 @@
 """Merge laws: SummaryStore is a commutative monoid, both backends.
 
-The shard → merge mining path and the ``repro merge`` CLI rest on three
+Streaming deltas and the ``repro merge`` CLI rest on three
 laws, hypothesis-checked here over stores mined from random documents:
 
 * **commutativity** — ``merge(a, b)`` and ``merge(b, a)`` hold the same

@@ -10,14 +10,28 @@ bound, compaction determinism, persistence, and the array backend.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import LabeledTree, LatticeSummary, StreamingSummary
 from repro.core.streaming import DEFAULT_MAX_PENDING
+from repro.datasets import generate_nasa
 from repro.trees.labeled_tree import TreeBuildError
 
 LABELS = "abcd"
 LEVEL = 3
+
+#: A nasa ``dataset`` record, inserted into a generated nasa document below.
+NASA_RECORD = LabeledTree.from_nested(
+    (
+        "dataset",
+        [
+            "title",
+            ("author", ["lastName", "firstName"]),
+            ("date", ["year", "month", "day"]),
+            "identifier",
+        ],
+    )
+)
 
 
 @st.composite
@@ -79,6 +93,28 @@ def rebuilt_counts(document: LabeledTree) -> dict:
 
 @settings(max_examples=30, deadline=None)
 @given(script=update_script(), max_pending=st.integers(0, 3))
+@example(  # the record's root label collides with the document root's
+    script=(
+        LabeledTree.from_nested(("db", ["x"])),
+        [("insert", LabeledTree.from_nested(("db", ["y"])))],
+    ),
+    max_pending=0,
+)
+@example(  # duplicate record shapes: db(rec,rec) counts ordered pairs
+    script=(
+        LabeledTree.from_nested(("db", [("rec", ["a"])])),
+        [("insert", LabeledTree.from_nested(("rec", ["a"])))] * 2,
+    ),
+    max_pending=0,
+)
+@example(  # db(x,y) is new: it occurs only as a match spanning the root
+    script=(LabeledTree.from_nested(("db", ["x"])), [("insert", LabeledTree("y"))]),
+    max_pending=0,
+)
+@example(  # a realistic record grafted onto a realistic document
+    script=(generate_nasa(40, seed=7), [("insert", NASA_RECORD)]),
+    max_pending=0,
+)
 def test_streaming_matches_rebuild_after_every_op(script, max_pending):
     seed, ops = script
     streaming = StreamingSummary(seed.copy(), LEVEL, max_pending=max_pending)
@@ -255,11 +291,3 @@ def test_array_backed_streaming_stays_exact():
     snapshot = streaming.summary(fresh=True)
     assert snapshot.backend == "array"
     assert dict(snapshot.patterns()) == rebuilt_counts(streaming.document)
-
-
-def test_build_can_route_through_shards():
-    document = LabeledTree("r")
-    for nested in [("a", [("b", [])]), ("c", [("a", []), ("b", [])])]:
-        _attach(document, LabeledTree.from_nested(nested))
-    streaming = StreamingSummary(document.copy(), LEVEL, shards=2)
-    assert dict(streaming.summary().patterns()) == rebuilt_counts(document)
