@@ -5,33 +5,35 @@ Worker model
 One :class:`~concurrent.futures.ProcessPoolExecutor` is created lazily
 per mine.  Each worker receives the :class:`~repro.trees.matching.
 DocumentIndex` once (through the pool initializer) and keeps a
-process-local ``Canon -> {node -> rooted match count}`` memo that
-accumulates across levels — the same shared-memo trick the serial miner
-uses, so counting a size-``n+1`` candidate normally only assembles
-root-level counts over already-memoised size-``<= n`` sub-patterns.
+process-local :class:`~repro.mining.occurrences.OccurrenceCounter`
+whose anchor maps and aggregates accumulate across levels — the same
+counter the serial miner uses.  A sub-pattern another worker counted is
+rebuilt on demand from its own kids' maps.
 
 Failure discipline
 ------------------
 Submissions go through the retry engine (:func:`repro.resilience.
 runner.run_chunks`): a crashed or hung worker tears the pool down, a
-fresh one is built (rebuilt workers start with an empty memo — a speed
-cost, never a correctness one), and only chunks without a result are
-re-submitted.  With retries disabled (the default) failures surface as
-a chained :class:`~repro.resilience.retry.ChunkFailureError`; a policy
-with ``fallback=True`` instead degrades out-of-budget chunks to the
-parent-side serial counter, which keeps its own memo across levels.
+fresh one is built (rebuilt workers start with an empty counter — a
+speed cost, never a correctness one), and only chunks without a result
+are re-submitted.  With retries disabled (the default) failures surface
+as a chained :class:`~repro.resilience.retry.ChunkFailureError`; a
+policy with ``fallback=True`` instead degrades out-of-budget chunks to a
+parent-side counter, which keeps its own memo across levels.
 See ``docs/robustness.md``.
 
 Determinism
 -----------
-Candidate counts are exact integers computed independently per
-candidate (:func:`repro.trees.matching._rooted` is a pure function of
-the candidate and the document), so *any* partition of the candidate
-set yields the same counts.  Chunks are contiguous slices of the
-caller's (sorted) candidate list and results are merged in submission
-order, so the merged mapping preserves the serial path's insertion
-order too — parallel mining is bit-identical to serial, dict order
-included, retries and degraded chunks notwithstanding.
+Candidate counts are exact integers, and an occurrence counter's count
+of a candidate is a pure function of the candidate and the document:
+its memo only holds exact anchor maps and aggregates, and a miss
+rebuilds them from the kids' maps.  So *any* partition of the candidate
+set, in any worker and in any order, yields the same counts.  Chunks
+are contiguous slices of the caller's (sorted) candidate list and
+results are merged in submission order, so the merged mapping preserves
+the serial path's insertion order too — parallel mining is
+bit-identical to serial, dict order included, retries and degraded
+chunks notwithstanding.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from types import TracebackType
 from typing import Sequence
 
 from .. import obs
+from ..mining.occurrences import OccurrenceCounter
 from ..resilience import RetryPolicy, run_chunks
 from ..trees.canonical import Canon
-from ..trees.matching import DocumentIndex, _rooted
+from ..trees.matching import DocumentIndex
 from .pool import PoolSupervisor, chunked
 
 __all__ = ["ParallelMiningPool"]
@@ -56,43 +59,42 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 #: the ``fault_*`` / ``retry_*`` metric labels use it).
 FAULT_SITE = "mining.count_chunk"
 
-# Worker-process state, installed by _init_worker.  The rooted-count
+# Worker-process state, installed by _init_worker.  The counter's
 # memo deliberately persists across tasks: workers are reused for every
 # level of one mine, and level n+1 candidates decompose into level <= n
 # sub-patterns the worker has usually already counted.
-_worker_index: DocumentIndex | None = None
-_worker_maps: dict[Canon, dict[int, int]] = {}
+_worker_counter: OccurrenceCounter | None = None
 
 
 def _init_worker(index: DocumentIndex) -> None:
-    global _worker_index
-    _worker_index = index
-    _worker_maps.clear()
+    global _worker_counter
+    _worker_counter = OccurrenceCounter(index)
 
 
 def _count_chunk(
     candidates: list[Canon],
+    keep_maps: bool,
     snapshot: obs.TelemetrySnapshot | None,
 ) -> tuple[list[tuple[Canon, int]], obs.WorkerTelemetry | None]:
     """Count one chunk of candidates; only occurring ones are returned."""
-    index = _worker_index
-    if index is None:  # pragma: no cover - initializer always runs first
+    counter = _worker_counter
+    if counter is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("mining worker used before initialisation")
     if snapshot is None:
-        return _count_candidates(candidates, index, _worker_maps), None
+        return _count_candidates(candidates, counter, keep_maps), None
     with obs.worker_window(snapshot) as telemetry:
-        counted = _count_candidates(candidates, index, _worker_maps)
+        counted = _count_candidates(candidates, counter, keep_maps)
     return counted, telemetry
 
 
 def _count_candidates(
     candidates: list[Canon],
-    index: DocumentIndex,
-    maps: dict[Canon, dict[int, int]],
+    counter: OccurrenceCounter,
+    keep_maps: bool,
 ) -> list[tuple[Canon, int]]:
     counted: list[tuple[Canon, int]] = []
     for candidate in candidates:
-        count = sum(_rooted(candidate, index, maps).values())
+        count = counter.count(candidate, keep_map=keep_maps)
         if obs.enabled:
             obs.registry.counter(
                 "mining_candidate_evaluations_total",
@@ -130,9 +132,9 @@ class ParallelMiningPool:
         self.chunks_per_worker = chunks_per_worker
         self.retry = retry if retry is not None else RetryPolicy.none()
         self._supervisor = PoolSupervisor(self._make_executor)
-        # Parent-side memo for degraded chunks; like a worker's, it
-        # persists across levels of one mine.
-        self._fallback_maps: dict[Canon, dict[int, int]] = {}
+        # Parent-side counter for degraded chunks; like a worker's, its
+        # memo persists across levels of one mine.
+        self._fallback = OccurrenceCounter(index)
 
     def _make_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -143,25 +145,29 @@ class ParallelMiningPool:
 
     def _serial_chunk(
         self,
-        task: tuple[list[Canon], obs.TelemetrySnapshot | None],
+        task: tuple[list[Canon], bool, obs.TelemetrySnapshot | None],
     ) -> tuple[list[tuple[Canon, int]], obs.WorkerTelemetry | None]:
         # Degraded-mode fallback: count the chunk in-process.  The
         # parent's live registry records telemetry directly, so no
         # worker window is needed (and ``None`` skips absorption).
-        candidates, _ = task
-        return _count_candidates(candidates, self.index, self._fallback_maps), None
+        candidates, keep_maps, _ = task
+        return _count_candidates(candidates, self._fallback, keep_maps), None
 
-    def count_candidates(self, candidates: Sequence[Canon]) -> dict[Canon, int]:
+    def count_candidates(
+        self, candidates: Sequence[Canon], *, keep_maps: bool = True
+    ) -> dict[Canon, int]:
         """``{candidate: exact count}`` for every *occurring* candidate.
 
         Insertion order of the result follows ``candidates`` order, so a
         sorted input yields the exact mapping the serial miner builds.
+        ``keep_maps=False`` (the top level of a mine) counts without
+        memoising the candidates' anchor maps.
         """
         if not candidates:
             return {}
         chunks = chunked(candidates, self.workers * self.chunks_per_worker)
         snapshot = obs.telemetry_snapshot()
-        tasks = [(chunk, snapshot) for chunk in chunks]
+        tasks = [(chunk, keep_maps, snapshot) for chunk in chunks]
         report = run_chunks(
             _count_chunk,
             tasks,

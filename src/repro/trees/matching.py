@@ -4,8 +4,9 @@ A *match* of a twig query ``Q`` in a data tree ``D`` is an injective
 mapping from query nodes to data nodes that preserves labels and
 parent-child edges.  The **selectivity** ``s(Q)`` is the number of such
 matches.  This module computes it exactly; it is the ground truth against
-which every estimator in the library is scored, and the counting engine
-behind the lattice miner.
+which every estimator in the library is scored, and the independent
+oracle the lattice miner's occurrence counter
+(:mod:`repro.mining.occurrences`) is tested against.
 
 Algorithm
 ---------

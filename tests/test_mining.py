@@ -1,10 +1,12 @@
 """Unit tests for the level-wise lattice miner."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import DocumentIndex, LabeledTree, count_matches, mine_lattice
 from repro.mining import anchored_counts, pattern_counts_by_level
+from repro.mining.occurrences import OccurrenceCounter
 from repro.trees.canonical import canon_from_nested, canon_size
+from repro.trees.matching import count_rooted_matches, injective_assignment_count
 
 from .conftest import brute_force_patterns
 from .test_properties import random_tree
@@ -140,3 +142,102 @@ class TestAnchoredCounts:
         for key, count in high.items():
             total[key] = total.get(key, 0) + count
         assert total == dict(mine_lattice(tree, level).all_patterns())
+
+
+@st.composite
+def wide_tree(draw, max_nodes=14):
+    """Labels ``a``/``b`` with up to 8 children per node, breadth first.
+
+    Runs of same-label siblings make mined patterns whose root has 3-5
+    same-label kids, the occurrence counter's permanent path.
+    """
+    tree = LabeledTree(draw(st.sampled_from("ab")))
+    queue = [tree.root]
+    while queue and tree.size < max_nodes:
+        node = queue.pop(0)
+        room = min(8, max_nodes - tree.size)
+        for label in draw(st.lists(st.sampled_from("ab"), max_size=room)):
+            queue.append(tree.add_child(node, label))
+    return tree
+
+
+EIGHT_SAME = LabeledTree.from_nested(("a", ["b"] * 8))
+MIXED_FANOUT = LabeledTree.from_nested(
+    ("a", [("b", ["a", "a", "a"]), ("b", ["a", "a"]), "b", "b", "a"])
+)
+
+
+class TestOccurrenceCounter:
+    """The occurrence-map counter against the subset-DP oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=wide_tree(), k=st.integers(4, 6))
+    @example(tree=EIGHT_SAME, k=6)
+    @example(tree=MIXED_FANOUT, k=6)
+    def test_wide_fanout_counts_match_oracle(self, tree, k):
+        index = DocumentIndex(tree)
+        mined = mine_lattice(index, k)
+        assert list(mined.patterns(1)) == [
+            (label, ()) for label in index.nodes_by_label
+        ]
+        for size, level in mined.levels.items():
+            if size > 1:
+                assert list(level) == sorted(level)
+            for pattern, count in level.items():
+                assert count == count_matches(pattern, index), pattern
+        if tree.size <= 9:
+            assert mined.all_patterns() == brute_force_patterns(tree, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=wide_tree(), k=st.integers(4, 6))
+    @example(tree=EIGHT_SAME, k=6)
+    def test_root_anchored_counts_match_rooted_oracle(self, tree, k):
+        index = DocumentIndex(tree)
+        anchored = anchored_counts(index, (tree.root,), k)
+        mined = mine_lattice(index, k).all_patterns()
+        assert anchored.keys() <= mined.keys()
+        for pattern in mined:
+            rooted = count_rooted_matches(pattern, index).get(tree.root, 0)
+            assert anchored.get(pattern, 0) == rooted, pattern
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree=wide_tree(), k=st.integers(4, 6))
+    def test_any_counting_order_gives_the_same_counts(self, tree, k):
+        # A fresh counter asked for the largest patterns first builds
+        # every sub-pattern's map on demand.
+        index = DocumentIndex(tree)
+        mined = mine_lattice(index, k).all_patterns()
+        counter = OccurrenceCounter(index)
+        for i, pattern in enumerate(sorted(mined, key=canon_size, reverse=True)):
+            assert counter.count(pattern, keep_map=i % 2 == 0) == mined[pattern]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_label_group_matches_subset_dp(self, data):
+        # Kid ``b(c<d>)`` has rooted count ``distinct[d][j]`` on the
+        # ``b`` child for column ``j``, so the root count of the star
+        # pattern is the permanent of the drawn weight rows.
+        columns = data.draw(st.lists(st.integers(0, 8), unique=True, max_size=7))
+        weights = st.dictionaries(st.integers(0, 8), st.integers(0, 4), max_size=7)
+        distinct = data.draw(st.lists(weights, min_size=1, max_size=5))
+        # Rows drawn with repetition, so identical kids share a class.
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=5)
+        )
+        tree = LabeledTree("a")
+        for column in columns:
+            child = tree.add_child(tree.root, "b")
+            for d, row in enumerate(distinct):
+                for _ in range(row.get(column, 0)):
+                    tree.add_child(child, f"c{d}")
+        pattern = canon_from_nested(("a", [("b", [f"c{d}"]) for d in picks]))
+        index = DocumentIndex(tree)
+        expected = injective_assignment_count([distinct[d] for d in picks], columns)
+        assert OccurrenceCounter(index).count(pattern) == expected
+        assert count_matches(pattern, index) == expected
+
+    def test_identical_kids_take_distinct_children(self):
+        # Five identical kids over six children: 6*5*4*3*2 assignments.
+        index = DocumentIndex(LabeledTree.from_nested(("a", [("b", ["c"])] * 6)))
+        pattern = canon_from_nested(("a", [("b", ["c"])] * 5))
+        assert OccurrenceCounter(index).count(pattern) == 720
