@@ -1,10 +1,9 @@
 """Benchmark-regression smoke gate (run by the ``bench-smoke`` CI job).
 
 A fast, fixed-seed slice of the Table-3 construction benchmark plus the
-parallel/batch identity checks, producing a ``BENCH_pr.json`` artifact:
+batch identity checks, producing a ``BENCH_pr.json`` artifact:
 
-* mines each smoke dataset serially and with 2 workers, failing on any
-  serial-vs-parallel divergence (bit-identity, dict order included);
+* mines each smoke dataset and times the mine;
 * checks ``estimate_batch`` (serial and fanned out) against per-query
   ``estimate`` for the recursive, voting, and fix-sized estimators;
 * runs the same estimators over ``--store {dict,array,both}`` summary
@@ -61,7 +60,7 @@ from repro.core.lattice import LatticeSummary
 from repro.core.recursive import RecursiveDecompositionEstimator
 from repro.datasets import generate_dataset
 from repro.kernels import available_backends
-from repro.mining.freqt import MiningResult, mine_lattice
+from repro.mining.freqt import mine_lattice
 from repro.trees.matching import DocumentIndex
 from repro.workload.generator import positive_workloads
 
@@ -90,8 +89,6 @@ def calibration_seconds() -> float:
     Measured on the process CPU clock, like every gated timing in this
     module: gates compare work done by *this* process, so time stolen
     by noisy CI neighbours cancels out instead of failing the job.
-    (Parallel timings are wall-clock — the work happens in child
-    processes — and are reported but never gated.)
 
     Effective machine speed still drifts *within* a run (frequency
     scaling, cache pressure from neighbours), so callers must not reuse
@@ -134,16 +131,6 @@ def current_commit() -> str | None:
     if proc.returncode != 0:
         return None
     return proc.stdout.strip() or None
-
-
-def mining_divergence(serial: MiningResult, parallel: MiningResult) -> str | None:
-    """Human-readable description of the first divergence, or ``None``."""
-    if serial.levels.keys() != parallel.levels.keys():
-        return f"level sets differ: {sorted(serial.levels)} vs {sorted(parallel.levels)}"
-    for size, level in serial.levels.items():
-        if list(parallel.levels[size].items()) != list(level.items()):
-            return f"level {size} counts or order differ"
-    return None
 
 
 def make_estimators(
@@ -218,23 +205,15 @@ def run_dataset(
 
     mining_cal_before = calibration_seconds()
     start = time.process_time()
-    serial = mine_lattice(index, LEVEL)
+    mined = mine_lattice(index, LEVEL)
     serial_seconds = time.process_time() - start
     mining_calibration = bracket_calibration(
         mining_cal_before, calibration_seconds()
     )
 
-    start = time.perf_counter()
-    parallel = mine_lattice(index, LEVEL, workers=WORKERS)
-    parallel_seconds = time.perf_counter() - start
-
-    divergence = mining_divergence(serial, parallel)
-    if divergence is not None:
-        failures.append(f"{name}: serial vs parallel mining diverged: {divergence}")
-
     serial_ratio = serial_seconds / mining_calibration
 
-    summary = LatticeSummary.from_mining(serial)
+    summary = LatticeSummary.from_mining(mined)
     summaries = {backend: summary.to_store(backend) for backend in backends}
     workloads = positive_workloads(index, list(QUERY_SIZES), QUERIES_PER_SIZE, seed=1)
     queries = [q for size in QUERY_SIZES for q in workloads[size].queries]
@@ -262,12 +241,11 @@ def run_dataset(
 
     row: dict[str, object] = {
         "nodes": document.size,
-        "patterns": serial.total_patterns(),
+        "patterns": mined.total_patterns(),
         "queries": len(queries),
         "serial_seconds": round(serial_seconds, 4),
         "serial_ratio": round(serial_ratio, 4),
         "mining_calibration_seconds": round(mining_calibration, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
     }
     for backend, backend_summary in summaries.items():
         row[f"{backend}_bytes"] = backend_summary.byte_size()
@@ -427,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(
             f"{name:8} nodes={row['nodes']:<6} patterns={row['patterns']:<5} "
-            f"serial={row['serial_seconds']}s parallel={row['parallel_seconds']}s "
+            f"serial={row['serial_seconds']}s "
             f"warm_speedups={warm}"
         )
 

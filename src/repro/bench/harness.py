@@ -159,7 +159,7 @@ def _samples_by_size(registry: obs.MetricsRegistry, name: str) -> dict[str, floa
 
 
 _BUNDLES: dict[
-    tuple[str, int | None, int, int, int | None, int, int | None], DatasetBundle
+    tuple[str, int | None, int, int, int | None, int], DatasetBundle
 ] = {}
 
 
@@ -171,19 +171,15 @@ def prepare_dataset(
     level: int = 4,
     sketch_budget: int | None = None,
     refinement_rounds: int = 8,
-    workers: int | None = None,
     use_cache: bool = True,
 ) -> DatasetBundle:
     """Build (or fetch from cache) the bundle for one dataset.
 
     Parameters mirror the experiment knobs: ``scale`` the dataset size,
-    ``level`` the lattice level (paper default 4), ``sketch_budget`` the
-    TreeSketch byte budget (paper-proportional when ``None``), and
-    ``workers`` the lattice-construction worker processes (summaries are
-    bit-identical at any worker count, but the cache keys on it so
-    serial-vs-parallel timing comparisons stay honest).
+    ``level`` the lattice level (paper default 4), and ``sketch_budget``
+    the TreeSketch byte budget (paper-proportional when ``None``).
     """
-    key = (name, scale, seed, level, sketch_budget, refinement_rounds, workers)
+    key = (name, scale, seed, level, sketch_budget, refinement_rounds)
     if use_cache:
         cached = _BUNDLES.get(key)
         if cached is not None:
@@ -194,7 +190,7 @@ def prepare_dataset(
 
     start = time.perf_counter()
     with obs.observed() as (registry, _):
-        lattice = LatticeSummary.build(index, level, workers=workers)
+        lattice = LatticeSummary.build(index, level)
     lattice_seconds = time.perf_counter() - start
     build_metrics = {
         metric: _samples_by_size(registry, metric)

@@ -2,12 +2,11 @@
 
 Subcommands mirror the deployment workflow:
 
-* ``summarize`` — parse an XML file, mine its k-lattice (optionally in
-  parallel with ``--workers``), optionally prune δ-derivable patterns,
-  write the summary to disk (``--store {dict,array}`` picks the count
-  backend; ``array`` writes the compact binary container;
-  ``--stream`` builds through the streaming insert path, bit-identical
-  in counts to the one-shot build);
+* ``summarize`` — parse an XML file, mine its k-lattice, optionally
+  prune δ-derivable patterns, write the summary to disk (``--store
+  {dict,array}`` picks the count backend; ``array`` writes the compact
+  binary container; ``--stream`` builds through the streaming insert
+  path, bit-identical in counts to the one-shot build);
 * ``merge`` — combine two or more saved summaries of the same lattice
   level into one (counts add per pattern — the store monoid applied at
   the corpus level);
@@ -28,15 +27,16 @@ Subcommands mirror the deployment workflow:
 ``--trace PATH`` to capture the run's metrics registry and structured
 estimation trace (see ``docs/observability.md``).
 
-``summarize`` and ``estimate`` accept ``--retry N`` / ``--timeout S``
-to give parallel work a failure budget: crashed, hung, or failed chunks
-are retried (with capped exponential backoff) and, once the budget runs
-out, completed serially in-process (see ``docs/robustness.md``).
+``estimate`` accepts ``--retry N`` / ``--timeout S`` to give the
+``--batch --workers`` fan-out a failure budget: crashed, hung, or
+failed chunks are retried (with capped exponential backoff) and, once
+the budget runs out, completed serially in-process (see
+``docs/robustness.md``).
 
 Exit codes: 0 success; 2 usage errors (unparseable query, missing or
-corrupt summary file); 3 completed but degraded (parallel work fell
-back to the serial path after exhausting its retry budget — results
-are still exact); 1 any other handled failure.
+corrupt summary file, negative ``--workers``); 3 completed but degraded
+(parallel work fell back to the serial path after exhausting its retry
+budget — results are still exact); 1 any other handled failure.
 
 Run ``python -m repro <subcommand> --help`` for the flags of each.
 """
@@ -78,7 +78,7 @@ __all__ = ["main", "build_parser"]
 
 class CliUsageError(Exception):
     """Bad input the user can fix (exit status 2): unparseable query,
-    missing or corrupt summary file."""
+    missing or corrupt summary file, out-of-range flag."""
 
 
 #: Exit status for runs that completed with exact results but had to
@@ -94,8 +94,7 @@ def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
     default (2 retries / no timeout), and the CLI always degrades to
     serial rather than failing — surfaced via exit status 3.
     """
-    retries = getattr(args, "retry", None)
-    timeout = getattr(args, "timeout", None)
+    retries, timeout = args.retry, args.timeout
     if retries is None and timeout is None:
         return None
     if retries is not None and retries < 0:
@@ -107,6 +106,12 @@ def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
         attempt_timeout=timeout,
         fallback=True,
     )
+
+
+def _check_workers(args: argparse.Namespace) -> None:
+    """Reject a negative ``--workers`` as a usage error."""
+    if args.workers is not None and args.workers < 0:
+        raise CliUsageError(f"--workers must be >= 0, got {args.workers}")
 
 
 def _degradation_status(events_before: int) -> int:
@@ -159,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--attributes", action="store_true", help="model attributes as child nodes"
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for mining (0 = one per core; default serial)",
-    )
-    _add_resilience_flags(p)
-    p.add_argument(
         "--store",
         choices=("dict", "array"),
         default="dict",
@@ -215,7 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for --batch (0 = one per core; default serial)",
     )
-    _add_resilience_flags(p)
+    p.add_argument(
+        "--retry",
+        type=int,
+        default=None,
+        metavar="N",
+        help="retry each failed parallel chunk up to N times, then finish "
+        "it serially (exact results, exit status 3)",
+    )
+    p.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="abandon a parallel chunk attempt after SECONDS and retry it "
+        "(hung-worker protection; implies --retry 2 unless given)",
+    )
     p.add_argument(
         "--estimator",
         choices=("recursive", "voting", "fixed", "markov"),
@@ -385,25 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--retry",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry each failed parallel chunk up to N times, then finish "
-        "it serially (exact results, exit status 3)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon a parallel chunk attempt after SECONDS and retry it "
-        "(hung-worker protection; implies --retry 2 unless given)",
-    )
-
-
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-json",
@@ -451,17 +444,10 @@ def _do_summarize(args: argparse.Namespace) -> int:
     parse_seconds = time.perf_counter() - start
     print(f"parsed {document.size} nodes in {parse_seconds:.2f}s")
 
-    events_before = degraded_events()
     if args.stream:
         summary = _summarize_streaming(document, args)
     else:
-        summary = LatticeSummary.build(
-            document,
-            args.level,
-            workers=args.workers,
-            store=args.store,
-            retry=_retry_policy(args),
-        )
+        summary = LatticeSummary.build(document, args.level, store=args.store)
     print(
         f"mined {summary.num_patterns} patterns "
         f"({summary.byte_size()} bytes, {summary.backend} store) "
@@ -476,7 +462,7 @@ def _do_summarize(args: argparse.Namespace) -> int:
         )
     summary.save(args.output)
     print(f"summary written to {args.output}")
-    return _degradation_status(events_before)
+    return 0
 
 
 def _summarize_streaming(
@@ -541,6 +527,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _do_estimate(args: argparse.Namespace) -> int:
     if args.batch is not None and args.query is not None:
         raise CliUsageError("give either a query or --batch FILE, not both")
+    _check_workers(args)
     explaining = args.explain or args.explain_json
     if args.backend is not None and args.batch is None:
         raise CliUsageError("--backend only applies to --batch estimation")
@@ -673,6 +660,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise CliUsageError(
             f"--sample-rate must be within [0, 1], got {args.sample_rate}"
         )
+    _check_workers(args)
     summary = _load_summary(args.summary)
     if args.store is not None:
         summary = summary.to_store(args.store)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import pickle
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .. import obs
 from ..mining.freqt import MiningResult, mine_lattice
@@ -40,9 +40,6 @@ from ..trees.canonical import (
 from ..trees.labeled_tree import LabeledTree
 from ..trees.matching import DocumentIndex
 from ..trees.twig import TwigQuery
-
-if TYPE_CHECKING:
-    from ..resilience import RetryPolicy
 
 __all__ = ["LatticeSummary", "build_lattice", "FORMAT_VERSION"]
 
@@ -92,27 +89,20 @@ class LatticeSummary:
         document: LabeledTree | DocumentIndex,
         level: int,
         *,
-        workers: int | None = None,
         store: str = "dict",
-        retry: "RetryPolicy | None" = None,
     ) -> "LatticeSummary":
         """Mine a document and build its complete ``level``-lattice.
 
-        ``workers`` parallelises candidate counting across processes
-        (``None``/``1`` = serial, ``0`` = one per core); ``store`` picks
-        the count backend (``"dict"``/``"array"``); ``retry`` gives
-        parallel mining a failure budget (default: none — a worker
-        failure raises; see ``docs/robustness.md``).
-        The resulting summary is bit-identical across workers, backends,
-        and any injected-fault schedule the budget absorbs (see
-        ``docs/parallelism.md`` and ``docs/architecture.md``).
+        ``store`` picks the count backend (``"dict"``/``"array"``); the
+        resulting summary is bit-identical across backends (see
+        ``docs/architecture.md``).
         """
         sink = make_store(store)
         start = time.perf_counter()
         # Mining streams each level straight into the sink, so the array
         # backend interns ids as patterns are discovered instead of
         # materialising a tuple-keyed dict first.
-        mined = mine_lattice(document, level, workers=workers, sink=sink, retry=retry)
+        mined = mine_lattice(document, level, sink=sink)
         elapsed = time.perf_counter() - start
         summary = cls(
             mined.max_size,
@@ -436,11 +426,7 @@ def build_lattice(
     document: LabeledTree | DocumentIndex,
     level: int = 4,
     *,
-    workers: int | None = None,
     store: str = "dict",
-    retry: "RetryPolicy | None" = None,
 ) -> LatticeSummary:
     """Convenience wrapper: mine ``document`` into a ``level``-lattice."""
-    return LatticeSummary.build(
-        document, level, workers=workers, store=store, retry=retry
-    )
+    return LatticeSummary.build(document, level, store=store)

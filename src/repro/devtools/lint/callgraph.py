@@ -46,7 +46,7 @@ _SUBMIT_METHODS = frozenset({"map", "submit", "apply_async", "map_async", "imap"
 
 #: Project functions that forward their first argument to a process
 #: pool as the task callable (arg 2 carries the task payloads).  The
-#: retry engine is the only member today: both parallel paths submit
+#: retry engine is the only member today: the batch fan-out submits
 #: through :func:`repro.resilience.runner.run_chunks`, so a call to it
 #: is a submission site — the submitted function is a worker root and
 #: its tasks cross the pickle boundary — even though the literal

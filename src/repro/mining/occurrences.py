@@ -30,8 +30,8 @@ with the anchors of one bucket, not with every node of the root label.
 
 :class:`OccurrenceCounter` memoises maps and aggregates for one document
 and computes any missing sub-pattern's map recursively, so it serves the
-level-wise miner (whose levels reuse the previous level's maps), the
-multi-process pool, and root-anchored streaming deltas alike.  The
+level-wise miner (whose levels reuse the previous level's maps) and
+root-anchored streaming deltas alike.  The
 independent subset-DP matcher, :func:`repro.trees.matching.count_matches`,
 stays the test oracle.
 """

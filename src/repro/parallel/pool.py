@@ -1,8 +1,8 @@
 """Worker-count resolution, deterministic chunking, pool supervision.
 
-Shared plumbing for the two parallel paths (mining, batched
-estimation).  Chunking is deterministic — contiguous, near-even slices
-in input order — so any consumer that concatenates per-chunk results in
+Plumbing for the batched-estimation fan-out (:mod:`repro.parallel.
+batch`).  Chunking is deterministic — contiguous, near-even slices in
+input order — so any consumer that concatenates per-chunk results in
 submission order reproduces the serial output exactly.
 
 :class:`PoolSupervisor` owns a :class:`~concurrent.futures.

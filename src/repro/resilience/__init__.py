@@ -1,7 +1,7 @@
 """Fault-tolerant execution layer (parallel → **resilience** → obs).
 
-Three pieces, used together by both parallel paths and the store
-loaders (see ``docs/robustness.md``):
+Three pieces, used together by the batched-estimation fan-out and the
+store loaders (see ``docs/robustness.md``):
 
 * :mod:`~repro.resilience.faults` — deterministic, seedable fault
   injection at named sites (:class:`FaultPlan`, activated explicitly

@@ -32,8 +32,8 @@ variable to a spec string parsed by :meth:`FaultPlan.parse`:
              | "p=F"        fire probability in [0, 1] (seeded)
              | "seed=N"     seed for the p-stream (default 0)
 
-Example: ``crash@mining.count_chunk:after=1,times=1`` kills the worker
-handling the second chunk ever submitted at the mining site, once.
+Example: ``crash@batch.estimate_chunk:after=1,times=1`` kills the worker
+handling the second chunk ever submitted at the batch site, once.
 
 See ``docs/robustness.md`` for the site catalogue.
 """

@@ -1,10 +1,10 @@
 """Retry policy and the typed failures the retry engine raises.
 
-A :class:`RetryPolicy` is a small frozen value object shared by both
-parallel paths (mining and batched estimation): how many times a chunk
-may be re-submitted, how long one attempt may run, how long the whole
-run may take, how hard to back off between recovery rounds, and whether
-an exhausted budget degrades to the serial path or raises.
+A :class:`RetryPolicy` is a small frozen value object configuring the
+batched-estimation fan-out: how many times a chunk may be re-submitted,
+how long one attempt may run, how long the whole run may take, how hard
+to back off between recovery rounds, and whether an exhausted budget
+degrades to the serial path or raises.
 
 Chunk results are pure functions of the task arguments, so retrying
 (or falling back to serial) can never change a value — the policy is

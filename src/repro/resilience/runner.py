@@ -1,9 +1,8 @@
 """Round-based retry engine for process-pool chunk fan-outs.
 
-:func:`run_chunks` is the single choke point both parallel paths
-(:mod:`repro.parallel.mining`, :mod:`repro.parallel.batch`) submit
-through.  It owns the failure discipline so the call sites keep only
-their domain logic:
+:func:`run_chunks` is the single choke point the batched-estimation
+fan-out (:mod:`repro.parallel.batch`) submits through.  It owns the
+failure discipline so the call site keeps only its domain logic:
 
 * every chunk is submitted through an :class:`ExecutorSupervisor`
   (a rebuildable pool handle) and collected **in submission order** —

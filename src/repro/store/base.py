@@ -12,8 +12,8 @@ two representations with identical semantics:
 
 Both backends answer ``get``/``__contains__``/``items`` identically —
 bit-identical estimates are an acceptance gate, not an aspiration — and
-``items()`` iterates in insertion order on both, which is what keeps
-serial and parallel mining output comparable byte for byte.
+``items()`` iterates in insertion order on both, so two builds that add
+the same patterns in the same order compare equal byte for byte.
 
 Stores form a **commutative monoid** under :meth:`SummaryStore.merge`:
 counts add, the empty store is the identity, and the operation is pure

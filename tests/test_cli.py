@@ -237,6 +237,19 @@ class TestUsageErrors:
         main(["estimate", str(summary_file), "a(b"])
         assert "a(b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "trace"])
+    def test_negative_workers(self, command, summary_file, tmp_path, capsys):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("laptop(brand)\nlaptop(price)\n")
+        argv = [command, str(summary_file), "--batch", str(batch)]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "t.json")]
+        code = main(argv + ["--workers", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--workers" in err
+        assert err.count("\n") == 1
+
 
 class TestObservabilityFlags:
     def test_estimate_metrics_json(self, summary_file, tmp_path, capsys):
@@ -542,17 +555,6 @@ class TestStatsLatencyQuantiles:
 
 
 class TestSummarizeConstructionPaths:
-    def test_workers_writes_identical_file(self, xml_file, tmp_path, capsys):
-        serial, parallel = tmp_path / "serial.tl", tmp_path / "parallel.tl"
-        assert main(["summarize", str(xml_file), "-o", str(serial)]) == 0
-        assert (
-            main(
-                ["summarize", str(xml_file), "-o", str(parallel), "--workers", "2"]
-            )
-            == 0
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_stream_writes_identical_file(self, xml_file, tmp_path, capsys):
         serial, streamed = tmp_path / "serial.tl", tmp_path / "streamed.tl"
         assert main(["summarize", str(xml_file), "-o", str(serial)]) == 0

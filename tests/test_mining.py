@@ -1,8 +1,9 @@
 """Unit tests for the level-wise lattice miner."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import DocumentIndex, LabeledTree, count_matches, mine_lattice
+from repro import DocumentIndex, LabeledTree, count_matches, mine_lattice, obs
 from repro.mining import anchored_counts, pattern_counts_by_level
 from repro.mining.occurrences import OccurrenceCounter
 from repro.trees.canonical import canon_from_nested, canon_size
@@ -106,6 +107,40 @@ class TestResultHelpers:
         assert mined.patterns(2) == {canon_from_nested(("a", ["b"])): 1}
         assert mined.patterns(3) == {}
         assert 5 not in mined.levels or mined.patterns(5) == {}
+
+
+class TestMiningTimingSplit:
+    def test_candidate_and_counting_spans(self, figure1_doc: LabeledTree) -> None:
+        with obs.observed(trace=True) as (registry, tracer):
+            mine_lattice(figure1_doc, 3)
+        for name in ("mining_candidate_seconds", "mining_counting_seconds"):
+            metric = registry.get(name)
+            assert metric is not None, name
+            assert all(value >= 0 for _, value in metric.samples())
+        assert tracer is not None
+        level_events = tracer.by_event("mine_level")
+        assert level_events
+        for event in level_events:
+            assert "candidate_seconds" in event
+            assert "counting_seconds" in event
+            assert event["seconds"] == pytest.approx(
+                event["candidate_seconds"] + event["counting_seconds"], abs=2e-6
+            )
+
+    @pytest.mark.parametrize(
+        ("document", "k"), [("small_xmark", 4), ("small_imdb", 5)]
+    )
+    def test_level_counters_add_up(self, request, document: str, k: int) -> None:
+        with obs.observed() as (registry, _):
+            mined = mine_lattice(request.getfixturevalue(document), k)
+
+        def total(name: str) -> float:
+            return sum(value for _, value in registry.get(name).samples())
+
+        evaluations = registry.get("mining_candidate_evaluations_total").value()
+        assert evaluations == total("mining_candidates_total") > 0
+        above_level_one = mined.total_patterns() - len(mined.patterns(1))
+        assert total("mining_patterns_kept_total") == above_level_one
 
 
 class TestPatternCountsByLevel:

@@ -3,8 +3,8 @@
 The resilience contract has three faces, and each gets pinned here:
 
 * **bit-identity** — any fault schedule the retry budget absorbs
-  (crashes, worker errors, pickling failures, hangs) leaves parallel
-  mining and batched estimation byte-for-byte equal to the serial path;
+  (crashes, worker errors, pickling failures, hangs) leaves batched
+  estimation byte-for-byte equal to the serial path;
 * **graceful degradation** — an exhausted budget finishes the lost
   chunks serially (exact results, ``degraded_mode`` gauge, health
   ledger, CLI exit status 3) instead of failing, unless fallback was
@@ -27,7 +27,6 @@ from repro import (
     ChecksumMismatch,
     ChunkFailureError,
     DictStore,
-    DocumentIndex,
     LabeledTree,
     LatticeSummary,
     RecursiveDecompositionEstimator,
@@ -40,12 +39,10 @@ from repro import (
     UnknownBackendError,
     UnsupportedVersion,
     make_store,
-    mine_lattice,
 )
 from repro import obs
 from repro.cli import main
 from repro.parallel.batch import FAULT_SITE as BATCH_SITE
-from repro.parallel.mining import FAULT_SITE as MINING_SITE
 from repro.parallel.pool import PoolSupervisor
 from repro.resilience import (
     ENV_VAR,
@@ -102,7 +99,7 @@ def serial_estimates(estimator, queries) -> list[float]:
 class TestFaultSpec:
     def test_parse_multi_clause(self):
         plan = FaultPlan.parse(
-            "crash@mining.count_chunk:after=1,times=2; "
+            "crash@batch.estimate_chunk:after=1,times=2; "
             "hang@*:seconds=0.5; corrupt@store.array_payload:times=*"
         )
         kinds = [rule.kind for rule in plan.rules]
@@ -359,43 +356,6 @@ class TestPoolSupervisor:
 # ----------------------------------------------------------------------
 
 
-def assert_identical_mining(serial, parallel) -> None:
-    assert serial.levels.keys() == parallel.levels.keys()
-    for size, level in serial.levels.items():
-        assert list(parallel.levels[size].items()) == list(level.items())
-
-
-class TestMiningUnderFaults:
-    def test_crash_recovery_is_bit_identical(self, figure1_doc):
-        index = DocumentIndex(figure1_doc)
-        serial = mine_lattice(index, 4)
-        with fault_plan("crash@mining.count_chunk:times=2"):
-            parallel = mine_lattice(index, 4, workers=2, retry=ABSORBS)
-        assert_identical_mining(serial, parallel)
-
-    def test_error_recovery_is_bit_identical(self, figure1_doc):
-        index = DocumentIndex(figure1_doc)
-        serial = mine_lattice(index, 4)
-        with fault_plan("error@mining.count_chunk:after=1,times=3"):
-            parallel = mine_lattice(index, 4, workers=2, retry=ABSORBS)
-        assert_identical_mining(serial, parallel)
-
-    def test_degraded_mining_matches_serial(self, figure1_doc):
-        index = DocumentIndex(figure1_doc)
-        serial = mine_lattice(index, 4)
-        before = degraded_events()
-        with fault_plan("error@mining.count_chunk:times=*"):
-            parallel = mine_lattice(
-                index,
-                4,
-                workers=2,
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0, fallback=True),
-            )
-        assert_identical_mining(serial, parallel)
-        assert degraded_events() > before
-        assert last_degraded_site() == MINING_SITE
-
-
 class TestBatchUnderFaults:
     def test_crash_recovery_is_bit_identical(
         self, estimator, queries, serial_estimates
@@ -637,84 +597,60 @@ class TestStoreIntegrity:
 
 class TestCliResilience:
     @pytest.fixture()
-    def xml_file(self, tmp_path, figure1_doc):
-        path = tmp_path / "doc.xml"
-        tree_to_xml_file(figure1_doc, path)
+    def summary_file(self, tmp_path, figure1_doc):
+        xml = tmp_path / "doc.xml"
+        tree_to_xml_file(figure1_doc, xml)
+        path = tmp_path / "doc.summary"
+        assert main(["summarize", str(xml), "-o", str(path)]) == 0
         return path
 
-    def test_healthy_run_with_retry_flags_exits_zero(self, xml_file, tmp_path):
-        out = tmp_path / "s.tsv"
-        code = main(
-            [
-                "summarize",
-                str(xml_file),
-                "-o",
-                str(out),
-                "--workers",
-                "2",
-                "--retry",
-                "1",
-                "--timeout",
-                "30",
-            ]
+    @pytest.fixture()
+    def batch_file(self, tmp_path):
+        path = tmp_path / "queries.txt"
+        path.write_text(
+            "laptops(laptop(brand,price))\ncomputer(laptops)\n"
+            "desktops(desktop(price))\n",
+            encoding="utf-8",
         )
-        assert code == 0 and out.exists()
+        return path
+
+    def _estimate(self, summary_file, batch_file, *flags):
+        argv = ["estimate", str(summary_file), "--batch", str(batch_file)]
+        return main(argv + ["--workers", "2", *flags])
+
+    def test_healthy_run_with_retry_flags_exits_zero(
+        self, summary_file, batch_file, capsys
+    ):
+        code = self._estimate(
+            summary_file, batch_file, "--retry", "1", "--timeout", "30"
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("~=") == 3
 
     def test_degraded_run_exits_three(
-        self, xml_file, tmp_path, monkeypatch, capsys
+        self, summary_file, batch_file, monkeypatch, capsys
     ):
         monkeypatch.setenv(
-            ENV_VAR, "error@mining.count_chunk:times=*,seed=104"
+            ENV_VAR, "error@batch.estimate_chunk:times=*,seed=104"
         )
-        out = tmp_path / "s.tsv"
-        code = main(
-            [
-                "summarize",
-                str(xml_file),
-                "-o",
-                str(out),
-                "--workers",
-                "2",
-                "--retry",
-                "1",
-            ]
-        )
+        code = self._estimate(summary_file, batch_file, "--retry", "1")
         assert code == 3
-        assert out.exists()  # degraded still means completed
-        assert "degraded" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out.count("~=") == 3  # degraded still means completed
+        assert "degraded" in captured.err
 
     def test_persistent_fault_without_retry_exits_one(
-        self, xml_file, tmp_path, monkeypatch, capsys
+        self, summary_file, batch_file, monkeypatch, capsys
     ):
         monkeypatch.setenv(
-            ENV_VAR, "error@mining.count_chunk:times=*,seed=105"
+            ENV_VAR, "error@batch.estimate_chunk:times=*,seed=105"
         )
-        code = main(
-            [
-                "summarize",
-                str(xml_file),
-                "-o",
-                str(tmp_path / "s.tsv"),
-                "--workers",
-                "2",
-            ]
-        )
+        code = self._estimate(summary_file, batch_file)
         assert code == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "mining.count_chunk" in err
+        assert "error:" in err and BATCH_SITE in err
 
-    def test_negative_retry_is_usage_error(self, xml_file, tmp_path, capsys):
-        code = main(
-            [
-                "summarize",
-                str(xml_file),
-                "-o",
-                str(tmp_path / "s.tsv"),
-                "--workers",
-                "2",
-                "--retry",
-                "-1",
-            ]
-        )
+    def test_negative_retry_is_usage_error(self, summary_file, batch_file, capsys):
+        code = self._estimate(summary_file, batch_file, "--retry", "-1")
         assert code == 2
         assert "--retry" in capsys.readouterr().err
