@@ -25,7 +25,7 @@ from repro import obs
 from repro.bench import emit_report, format_table, prepare_dataset
 from repro.core.decompose import leaf_pair_decompositions
 from repro.core.recursive import RecursiveDecompositionEstimator
-from repro.trees.canonical import canon
+from repro.trees.canonical import canon, canon_to_tree
 
 REPEATS = 5
 OVERHEAD_BUDGET = 0.05
@@ -37,7 +37,11 @@ SPAN_OVERHEAD_BUDGET = 0.10
 
 
 class _SeedVotingEstimator:
-    """The seed repository's voting recursion, free of instrumentation."""
+    """The seed repository's voting recursion, free of instrumentation.
+
+    Like the shipped estimator, it decomposes each twig's canonical
+    instance, so both do the same float operations in the same order.
+    """
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -52,7 +56,7 @@ class _SeedVotingEstimator:
             return cached
         value = self._lookup(key, tree.size)
         if value is None:
-            value = self._decompose(tree, memo)
+            value = self._decompose(canon_to_tree(key), memo)
         memo[key] = value
         return value
 

@@ -4,16 +4,21 @@ Every estimator consumes a twig query — as a :class:`TwigQuery`, a
 :class:`LabeledTree`, a canon tuple, or query text in either supported
 syntax — and returns a non-negative float estimate of its selectivity
 (the number of matches per Definition 1).
+
+Definition 1 matches unordered twigs, so TreeLattice's own estimators
+(:class:`KeyedEstimator`) take each query by its canonical form, derived
+once per query by :func:`query_key`: isomorphic spellings of a twig
+receive the same estimate, and compiled plans are cached by that key.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager, Sequence
+from typing import TYPE_CHECKING, Any, ContextManager, Sequence
 
 from .. import obs
-from ..trees.canonical import Canon, canon_to_tree
+from ..trees.canonical import Canon, canon, canon_to_tree
 from ..trees.labeled_tree import LabeledTree
 from ..trees.twig import TwigQuery
 
@@ -22,7 +27,13 @@ if TYPE_CHECKING:
     from ..kernels.program import PlanT
     from ..resilience import RetryPolicy
 
-__all__ = ["QueryLike", "SelectivityEstimator", "coerce_query_tree"]
+__all__ = [
+    "QueryLike",
+    "KeyedEstimator",
+    "SelectivityEstimator",
+    "coerce_query_tree",
+    "query_key",
+]
 
 #: Any accepted query form (see :func:`coerce_query_tree`).
 QueryLike = TwigQuery | LabeledTree | Canon | str
@@ -41,13 +52,36 @@ def coerce_query_tree(query: QueryLike) -> LabeledTree:
     raise TypeError(f"cannot interpret {type(query).__name__} as a twig query")
 
 
+def query_key(query: QueryLike) -> Canon:
+    """The canonical form of any accepted query form.
+
+    A :class:`TwigQuery` answers from its cached :meth:`~TwigQuery.
+    canonical` (which :meth:`TwigQuery.from_pattern` seeds while
+    decoding), so asking the same query object again walks no tree.  A
+    bare tree costs one :func:`canon` walk.  A caller's canon tuple is
+    re-canonicalised, never trusted as given: a tuple with unsorted
+    children gets the key of its sorted twin.
+    """
+    if isinstance(query, TwigQuery):
+        return query.canonical()
+    if isinstance(query, LabeledTree):
+        return canon(query)
+    if isinstance(query, str):
+        return TwigQuery.parse(query).canonical()
+    if isinstance(query, tuple):
+        return canon(canon_to_tree(query))
+    raise TypeError(f"cannot interpret {type(query).__name__} as a twig query")
+
+
 class SelectivityEstimator(ABC):
     """Common surface of all selectivity estimators.
 
     Subclasses implement :meth:`_estimate_tree`; the public
     :meth:`estimate` handles input coercion, and :meth:`estimate_count`
     rounds to the nearest non-negative integer for callers that want an
-    approximate COUNT answer rather than a raw estimate.
+    approximate COUNT answer rather than a raw estimate.  TreeLattice's
+    own estimators derive from :class:`KeyedEstimator` and implement
+    ``_estimate_key`` instead.
     """
 
     #: Short human-readable name used in benchmark reports.
@@ -82,13 +116,18 @@ class SelectivityEstimator(ABC):
         """Estimate a whole workload in one call.
 
         The values are exactly ``[self.estimate(q) for q in queries]`` —
-        batching never changes an estimate — but subclasses share work
-        across the batch (the recursive/voting estimator reuses sub-twig
-        selectivities through one cross-query memo, see
+        batching never changes an estimate, and TreeLattice's estimators
+        give each twig a value that depends on its canonical form alone,
+        so a batch on a fresh estimator returns what per-query calls on
+        fresh estimators return.  Subclasses share work across the batch
+        (the recursive/voting estimator reuses sub-twig selectivities
+        through one cross-query memo, see
         :meth:`~repro.core.recursive.RecursiveDecompositionEstimator.
-        _estimate_trees`), and ``workers`` fans large batches out over
+        _estimate_keys`), and ``workers`` fans large batches out over
         worker processes in deterministic chunks (``0`` = one worker per
-        core; ``chunk_size`` pins queries per task).
+        core; ``chunk_size`` pins queries per task).  Either way each
+        query is coerced once, in this process: a keyed estimator's
+        chunks carry canonical keys.
 
         ``backend`` picks how warm (already-compiled) shapes replay:
         ``None``/``"plan"`` keeps the per-query plan replay;
@@ -106,7 +145,6 @@ class SelectivityEstimator(ABC):
         chunk; with ``fallback=True`` exhausted chunks degrade to an
         in-process serial replay instead.  See ``docs/robustness.md``.
         """
-        trees = [coerce_query_tree(query) for query in queries]
         resolved = "plan"
         if backend is not None:
             from ..kernels import resolve_backend
@@ -126,20 +164,19 @@ class SelectivityEstimator(ABC):
             n_workers = resolve_workers(workers)
 
         def run() -> list[float]:
-            if n_workers > 1 and len(trees) > 1:
+            if n_workers > 1 and len(queries) > 1:
                 from ..parallel.batch import estimate_trees_parallel
 
                 return estimate_trees_parallel(
                     self,
-                    trees,
+                    queries,
                     workers=n_workers,
                     chunk_size=chunk_size,
                     backend=resolved,
                     retry=retry,
                 )
-            if resolved != "plan":
-                return self._estimate_trees_kernel(trees, resolved)
-            return self._estimate_trees(trees)
+            batch = [self._coerce(query) for query in queries]
+            return self._estimate_coerced(batch, resolved)
 
         if not obs.enabled:
             return run()
@@ -153,17 +190,18 @@ class SelectivityEstimator(ABC):
         ).inc(len(values))
         return values
 
-    def _estimate_trees(self, trees: Sequence[LabeledTree]) -> list[float]:
-        """Batch hook: estimate coerced query trees sequentially.
+    def _coerce(self, query: QueryLike) -> Any:
+        """One query in the form the batch hooks take: a tree here."""
+        return coerce_query_tree(query)
 
-        Subclasses override this to share state across the batch; the
-        parallel fan-out calls it once per chunk inside each worker.
+    def _estimate_coerced(self, batch: Sequence[Any], backend: str) -> list[float]:
+        """Batch hook: estimate queries :meth:`_coerce` prepared.
+
+        ``backend`` is already resolved (always ``"plan"`` for an
+        estimator without kernel support).  The parallel fan-out calls
+        this once per chunk inside each worker.
         """
-        return [self._estimate_tree(tree) for tree in trees]
-
-    # ------------------------------------------------------------------
-    # Kernel batch path (backend="numpy")
-    # ------------------------------------------------------------------
+        return [self._estimate_tree(tree) for tree in batch]
 
     def _kernel_state(self) -> "KernelState":
         """The estimator's kernel caches, created on first kernel use."""
@@ -175,14 +213,73 @@ class SelectivityEstimator(ABC):
             self._kernels = state
         return state
 
-    def _estimate_trees_kernel(
-        self, trees: Sequence[LabeledTree], backend: str
+    def _kernel_warm_plans(self) -> Sequence[tuple[Canon, "PlanT"]]:
+        """Every ``(key, plan)`` already compiled on this instance.
+
+        The parallel fan-out lowers these to kernel programs *before*
+        pickling the estimator to workers, so programs ship once per
+        worker instead of being re-lowered per chunk.
+        """
+        return ()
+
+    @abstractmethod
+    def _estimate_tree(self, tree: LabeledTree) -> float:
+        """Estimate the selectivity of a coerced query tree."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class KeyedEstimator(SelectivityEstimator):
+    """An estimator whose estimate is a function of the twig's canonical form.
+
+    :meth:`estimate` and :meth:`estimate_batch` resolve each query to its
+    key once (:func:`query_key`) and hand only the key on: subclasses
+    implement :meth:`_estimate_key`, key their compiled plans by it and
+    compile from the canonical instance (:func:`canon_to_tree`), so a
+    warm probe is one dict lookup and isomorphic spellings agree bit for
+    bit.  Estimators that set :attr:`supports_kernels` also implement
+    :meth:`_kernel_probe` and :meth:`_kernel_warm_plans`.
+    """
+
+    def estimate(self, query: QueryLike) -> float:
+        """Estimated selectivity of ``query`` (non-negative float)."""
+        return self._estimate_key(query_key(query))
+
+    def _estimate_tree(self, tree: LabeledTree) -> float:
+        return self._estimate_key(canon(tree))
+
+    def _coerce(self, query: QueryLike) -> Canon:
+        return query_key(query)
+
+    def _estimate_coerced(self, batch: Sequence[Canon], backend: str) -> list[float]:
+        if backend != "plan":
+            return self._estimate_keys_kernel(batch, backend)
+        return self._estimate_keys(batch)
+
+    def _estimate_keys(self, keys: Sequence[Canon]) -> list[float]:
+        """Plan-replay batch hook: estimate keys sequentially.
+
+        Subclasses override this to share state across the batch.
+        """
+        return [self._estimate_key(key) for key in keys]
+
+    @abstractmethod
+    def _estimate_key(self, key: Canon) -> float:
+        """Estimate the twig whose canonical form is ``key``."""
+
+    # ------------------------------------------------------------------
+    # Kernel batch path (backend="numpy")
+    # ------------------------------------------------------------------
+
+    def _estimate_keys_kernel(
+        self, keys: Sequence[Canon], backend: str
     ) -> list[float]:
         """Batch hook for kernel backends: vectorise the warm shapes.
 
         Warm queries (shape already compiled) are deferred and executed
         together through :meth:`KernelState.execute`; cold queries run
-        the untouched legacy :meth:`_estimate_tree` (which compiles the
+        the untouched legacy :meth:`_estimate_key` (which compiles the
         plan, so the shape is warm for every later batch).  The
         :meth:`_before_kernel_cold` hook lets estimators reproduce
         legacy cross-query state (the recursive memo donations) before
@@ -191,72 +288,56 @@ class SelectivityEstimator(ABC):
         """
         state = self._kernel_state()
         if not obs.enabled:
-            return self._run_kernel_batch(trees, state)
+            return self._run_kernel_batch(keys, state)
         with obs.span(
             "kernel_batch",
             backend=backend,
             estimator=self.name,
-            queries=len(trees),
+            queries=len(keys),
         ) as batch_span:
-            values = self._run_kernel_batch(trees, state)
+            values = self._run_kernel_batch(keys, state)
             batch_span.set(programs=state.program_count)
         from ..kernels.record import record_kernel_batch
 
-        record_kernel_batch(backend, self.name, len(trees), state.program_count)
+        record_kernel_batch(backend, self.name, len(keys), state.program_count)
         return values
 
     def _run_kernel_batch(
-        self, trees: Sequence[LabeledTree], state: "KernelState"
+        self, keys: Sequence[Canon], state: "KernelState"
     ) -> list[float]:
-        results = [0.0] * len(trees)
+        results = [0.0] * len(keys)
         warm_indices: list[int] = []
-        warm_ids: list[int] = []
+        warm_keys: list[Canon] = []
         warm_plans: list["PlanT"] = []
         with self._kernel_batch_scope():
-            for index, tree in enumerate(trees):
-                pattern_id, plan = self._kernel_probe(tree)
+            for index, key in enumerate(keys):
+                plan = self._kernel_probe(key)
                 if plan is not None:
-                    self._note_kernel_hit(tree, plan)
+                    self._note_kernel_hit(key, plan)
                     warm_indices.append(index)
-                    warm_ids.append(pattern_id)
+                    warm_keys.append(key)
                     warm_plans.append(plan)
                 else:
                     self._before_kernel_cold()
-                    results[index] = self._estimate_tree(tree)
+                    results[index] = self._estimate_key(key)
             if warm_indices:
-                values = state.execute(warm_ids, warm_plans)
+                values = state.execute(warm_keys, warm_plans)
                 for index, value in zip(warm_indices, values):
                     results[index] = value
         return results
 
-    def _kernel_probe(self, tree: LabeledTree) -> tuple[int, "PlanT | None"]:
-        """Intern the query shape; return ``(pattern_id, cached plan)``."""
+    def _kernel_probe(self, key: Canon) -> "PlanT | None":
+        """The plan compiled for ``key``, or ``None`` when it is cold."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support kernel backends"
         )
-
-    def _kernel_warm_plans(self) -> Sequence[tuple[int, "PlanT"]]:
-        """Every ``(pattern_id, plan)`` already compiled on this instance.
-
-        The parallel fan-out lowers these to kernel programs *before*
-        pickling the estimator to workers, so programs ship once per
-        worker instead of being re-lowered per chunk.
-        """
-        return ()
 
     def _kernel_batch_scope(self) -> ContextManager[None]:
         """Cross-query state scope for one kernel batch (memo, pending)."""
         return nullcontext()
 
-    def _note_kernel_hit(self, tree: LabeledTree, plan: "PlanT") -> None:
+    def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
         """A warm query was deferred to the kernel executor."""
 
     def _before_kernel_cold(self) -> None:
         """Restore legacy cross-query state before a cold compile."""
-
-    @abstractmethod
-    def _estimate_tree(self, tree: LabeledTree) -> float:
-        """Estimate the selectivity of a coerced query tree."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"

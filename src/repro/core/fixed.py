@@ -12,10 +12,11 @@ why this estimator is the fastest of the family, at some accuracy cost
 on large twigs because its overlaps are smaller than the recursive
 scheme's maximal ones.
 
-The first estimate of each canonical shape compiles the cover into a
-:class:`~repro.core.plan.CoverPlan` (every factor pre-resolved against
-the summary, including recursive fallbacks for pruned blocks); repeated
-shapes replay the factor products without re-deriving the cover.
+The first estimate of each canonical shape compiles the cover of its
+canonical instance into a :class:`~repro.core.plan.CoverPlan` (every
+factor pre-resolved against the summary, including recursive fallbacks
+for pruned blocks), cached under the canonical form; repeated shapes
+replay the factor products without re-deriving the cover.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ if TYPE_CHECKING:
     from ..kernels.program import PlanT
 
 from .. import obs
-from ..trees.canonical import PatternInterner, canon, encode_canon
+from ..trees.canonical import Canon, canon, canon_size, canon_to_tree, encode_canon
 from ..trees.labeled_tree import LabeledTree
 from .decompose import fixed_cover
-from .estimator import SelectivityEstimator
+from .estimator import KeyedEstimator
 from .lattice import LatticeSummary
 from .plan import CoverPlan, record_plan_request
 from .recursive import RecursiveDecompositionEstimator, _record_lookup
@@ -37,7 +38,7 @@ from .recursive import RecursiveDecompositionEstimator, _record_lookup
 __all__ = ["FixedDecompositionEstimator"]
 
 
-class FixedDecompositionEstimator(SelectivityEstimator):
+class FixedDecompositionEstimator(KeyedEstimator):
     """TreeLattice's fix-sized decomposition estimator.
 
     Parameters
@@ -64,8 +65,7 @@ class FixedDecompositionEstimator(SelectivityEstimator):
         # Pruned summaries can lack a block's count; the recursive
         # estimator reconstructs it from what remains.
         self._fallback = RecursiveDecompositionEstimator(lattice)
-        self._plan_keys = PatternInterner()
-        self._plans: dict[int, CoverPlan] = {}
+        self._plans: dict[Canon, CoverPlan] = {}
 
     def clear_cache(self) -> None:
         """Drop compiled cover plans (and the fallback's caches)."""
@@ -74,22 +74,21 @@ class FixedDecompositionEstimator(SelectivityEstimator):
         if self._kernels is not None:
             self._kernels.clear()
 
-    def _estimate_trees(self, trees: Sequence[LabeledTree]) -> list[float]:
+    def _estimate_keys(self, keys: Sequence[Canon]) -> list[float]:
         """Batch hook: pruned-block fallbacks share one memo per batch."""
         with self._fallback.batch_cache():
-            return [self._estimate_tree(tree) for tree in trees]
+            return [self._estimate_key(key) for key in keys]
 
     # ------------------------------------------------------------------
-    # Kernel batch hooks (see SelectivityEstimator._estimate_trees_kernel)
+    # Kernel batch hooks (see KeyedEstimator._estimate_keys_kernel)
     # ------------------------------------------------------------------
 
     supports_kernels = True
 
-    def _kernel_probe(self, tree: LabeledTree) -> tuple[int, "PlanT | None"]:
-        pattern_id = self._plan_keys.intern(canon(tree))
-        return pattern_id, self._plans.get(pattern_id)
+    def _kernel_probe(self, key: Canon) -> "PlanT | None":
+        return self._plans.get(key)
 
-    def _kernel_warm_plans(self) -> Sequence[tuple[int, "PlanT"]]:
+    def _kernel_warm_plans(self) -> Sequence[tuple[Canon, "PlanT"]]:
         return list(self._plans.items())
 
     def _kernel_batch_scope(self) -> ContextManager[None]:
@@ -99,24 +98,19 @@ class FixedDecompositionEstimator(SelectivityEstimator):
         # so no pending-flush bookkeeping is needed here.
         return self._fallback.batch_cache()
 
-    def _note_kernel_hit(self, tree: LabeledTree, plan: "PlanT") -> None:
+    def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
         assert isinstance(plan, CoverPlan)
         if obs.enabled:
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
-            )
+            record_plan_request(self.name, "hit", len(self._plans))
             if plan.blocks is not None:
-                self._record_cover(tree, plan.blocks)
+                self._record_cover(canon_size(key), plan.blocks)
 
-    def _estimate_tree(self, tree: LabeledTree) -> float:
-        pattern_id = self._plan_keys.intern(canon(tree))
-        plan = self._plans.get(pattern_id)
+    def _estimate_key(self, key: Canon) -> float:
+        plan = self._plans.get(key)
         if plan is not None:
             if not obs.enabled:
                 return plan.evaluate()
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
-            )
+            record_plan_request(self.name, "hit", len(self._plans))
             with obs.span("estimate", estimator=self.name, plan="hit") as root_span:
                 with obs.registry.timer(
                     "estimate_seconds", "Per-query estimation wall time."
@@ -132,30 +126,31 @@ class FixedDecompositionEstimator(SelectivityEstimator):
                 "Per-query estimation latency quantiles.",
             ).observe(frame.elapsed)
             if plan.blocks is not None:
-                self._record_cover(tree, plan.blocks)
+                self._record_cover(canon_size(key), plan.blocks)
             return value
         if not obs.enabled:
-            value, plan = self._compile_cover(tree)
-            self._plans[pattern_id] = plan
+            value, plan = self._compile_cover(canon_to_tree(key))
+            self._plans[key] = plan
             return value
         with obs.span("estimate", estimator=self.name, plan="miss") as root_span:
             with obs.registry.timer(
                 "estimate_seconds", "Per-query estimation wall time."
             ).time() as frame:
-                value, plan = self._compile_cover(tree)
+                value, plan = self._compile_cover(canon_to_tree(key))
             root_span.set(value=value)
         obs.registry.quantile(
             "estimate_latency_seconds",
             "Per-query estimation latency quantiles.",
         ).observe(frame.elapsed)
-        self._plans[pattern_id] = plan
-        record_plan_request(
-            self.name, "miss", len(self._plans), len(self._plan_keys)
-        )
+        self._plans[key] = plan
+        record_plan_request(self.name, "miss", len(self._plans))
         return value
 
     def _compile_cover(self, tree: LabeledTree) -> tuple[float, CoverPlan]:
-        """The original cover estimate, recording each factor as it goes."""
+        """The original cover estimate, recording each factor as it goes.
+
+        ``tree`` is the query's canonical instance.
+        """
         if tree.size <= self.block_size:
             value = self._pattern_count(tree)
             return value, CoverPlan(None, ((value, None),), False)
@@ -167,7 +162,7 @@ class FixedDecompositionEstimator(SelectivityEstimator):
             blocks += 1
             block_count = self._pattern_count(piece.block)
             if block_count <= 0.0:
-                self._record_cover(tree, blocks)
+                self._record_cover(tree.size, blocks)
                 return 0.0, CoverPlan(blocks, tuple(factors), True)
             numerator *= block_count
             overlap_count: float | None = None
@@ -179,41 +174,42 @@ class FixedDecompositionEstimator(SelectivityEstimator):
                     ).inc()
                 overlap_count = self._pattern_count(piece.overlap)
                 if overlap_count <= 0.0:
-                    self._record_cover(tree, blocks)
+                    self._record_cover(tree.size, blocks)
                     return 0.0, CoverPlan(blocks, tuple(factors), True)
                 denominator *= overlap_count
             factors.append((block_count, overlap_count))
-        self._record_cover(tree, blocks)
+        self._record_cover(tree.size, blocks)
         return numerator / denominator, CoverPlan(blocks, tuple(factors), False)
 
     @staticmethod
-    def _record_cover(tree: LabeledTree, blocks: int) -> None:
+    def _record_cover(size: int, blocks: int) -> None:
         if obs.enabled:
             obs.registry.histogram(
                 "fixed_cover_blocks", "Covering blocks per fix-sized estimate."
             ).observe(blocks)
-            obs.event("fixed_cover", size=tree.size, blocks=blocks)
+            obs.event("fixed_cover", size=size, blocks=blocks)
 
     def _pattern_count(self, pattern: LabeledTree) -> float:
-        stored = self.lattice.get(pattern)
+        key = canon(pattern)
+        stored = self.lattice.get(key)
         if stored is not None:
             if obs.enabled:
-                _record_lookup("hit", canon(pattern), pattern.size, float(stored))
+                _record_lookup("hit", key, pattern.size, float(stored))
             return float(stored)
         if self.lattice.is_complete_at(pattern.size):
             if obs.enabled:
-                _record_lookup("complete_zero", canon(pattern), pattern.size, 0.0)
+                _record_lookup("complete_zero", key, pattern.size, 0.0)
             return 0.0
         if obs.enabled:
-            _record_lookup("pruned_miss", canon(pattern), pattern.size)
+            _record_lookup("pruned_miss", key, pattern.size)
             # The nested recursive estimate below opens its own child
             # span; this point marks *why* it runs (δ-pruning fallback).
             obs.span_point(
                 "pruned_fallback",
-                pattern=encode_canon(canon(pattern)),
+                pattern=encode_canon(key),
                 size=pattern.size,
             )
-        return self._fallback.estimate(pattern)
+        return self._fallback._estimate_key(key)
 
     def __repr__(self) -> str:
         return f"FixedDecompositionEstimator(k={self.block_size})"

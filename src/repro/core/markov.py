@@ -13,10 +13,11 @@ used by the Lemma 4 equivalence tests and by the path-selectivity
 ablation benchmarks; it rejects branching queries by design.
 
 The first estimate of each path compiles the gram products into a
-:class:`~repro.core.plan.GramPlan`; repeated paths replay the plan.
-Error cases are never cached: branching queries raise ``ValueError``
-before the plan cache is consulted, and a pruned gram raises
-``KeyError`` during compilation, leaving no plan behind.
+:class:`~repro.core.plan.GramPlan`, cached under the path's canonical
+form; repeated paths replay the plan.  Error cases are never cached: a
+branching query raises ``ValueError`` and a pruned gram raises
+``KeyError`` during compilation, leaving no plan behind, so both raise
+again on every call.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .. import obs
 
 if TYPE_CHECKING:
     from ..kernels.program import PlanT
-from ..trees.canonical import Canon, PatternInterner
-from ..trees.labeled_tree import LabeledTree
-from .estimator import SelectivityEstimator
+from ..trees.canonical import Canon, canon_children, canon_label
+from .estimator import KeyedEstimator
 from .lattice import LatticeSummary
 from .plan import GramPlan, record_plan_request
 
@@ -63,7 +63,7 @@ def _path_canon(labels: list[str]) -> Canon:
 __all__ = ["MarkovPathEstimator"]
 
 
-class MarkovPathEstimator(SelectivityEstimator):
+class MarkovPathEstimator(KeyedEstimator):
     """Closed-form Markov estimator for linear path queries.
 
     Parameters
@@ -87,8 +87,7 @@ class MarkovPathEstimator(SelectivityEstimator):
             )
         self.lattice = lattice
         self.order = order
-        self._plan_keys = PatternInterner()
-        self._plans: dict[int, GramPlan] = {}
+        self._plans: dict[Canon, GramPlan] = {}
 
     def clear_cache(self) -> None:
         """Drop compiled gram plans."""
@@ -97,39 +96,29 @@ class MarkovPathEstimator(SelectivityEstimator):
             self._kernels.clear()
 
     # ------------------------------------------------------------------
-    # Kernel batch hooks (see SelectivityEstimator._estimate_trees_kernel)
+    # Kernel batch hooks (see KeyedEstimator._estimate_keys_kernel)
     # ------------------------------------------------------------------
 
     supports_kernels = True
 
-    def _kernel_probe(self, tree: LabeledTree) -> tuple[int, "PlanT | None"]:
-        # Branching rejection runs on every probe, exactly like the
-        # legacy warm path (labels are needed to key the cache anyway).
-        labels = self._path_labels(tree)
-        pattern_id = self._plan_keys.intern(_path_canon(labels))
-        return pattern_id, self._plans.get(pattern_id)
+    def _kernel_probe(self, key: Canon) -> "PlanT | None":
+        return self._plans.get(key)
 
-    def _kernel_warm_plans(self) -> Sequence[tuple[int, "PlanT"]]:
+    def _kernel_warm_plans(self) -> Sequence[tuple[Canon, "PlanT"]]:
         return list(self._plans.items())
 
-    def _note_kernel_hit(self, tree: LabeledTree, plan: "PlanT") -> None:
+    def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
         if obs.enabled:
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
-            )
+            record_plan_request(self.name, "hit", len(self._plans))
 
-    def _estimate_tree(self, tree: LabeledTree) -> float:
-        # Branching rejection runs on every call (warm included): the
-        # labels are needed to key the plan cache anyway.
-        labels = self._path_labels(tree)
-        pattern_id = self._plan_keys.intern(_path_canon(labels))
-        plan = self._plans.get(pattern_id)
+    def _estimate_key(self, key: Canon) -> float:
+        # Only paths ever compile, so a branching key always misses and
+        # is rejected below, warm or cold.
+        plan = self._plans.get(key)
         if plan is not None:
             if not obs.enabled:
                 return plan.evaluate()
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
-            )
+            record_plan_request(self.name, "hit", len(self._plans))
             with obs.span("estimate", estimator=self.name, plan="hit") as root_span:
                 with obs.registry.timer(
                     "estimate_seconds", "Per-query estimation wall time."
@@ -145,9 +134,10 @@ class MarkovPathEstimator(SelectivityEstimator):
                 "Per-query estimation latency quantiles.",
             ).observe(frame.elapsed)
             return value
+        labels = self._path_labels(key)
         if not obs.enabled:
             value, plan = self._compile_path(labels)
-            self._plans[pattern_id] = plan
+            self._plans[key] = plan
             return value
         with obs.span("estimate", estimator=self.name, plan="miss") as root_span:
             with obs.registry.timer(
@@ -159,10 +149,8 @@ class MarkovPathEstimator(SelectivityEstimator):
             "estimate_latency_seconds",
             "Per-query estimation latency quantiles.",
         ).observe(frame.elapsed)
-        self._plans[pattern_id] = plan
-        record_plan_request(
-            self.name, "miss", len(self._plans), len(self._plan_keys)
-        )
+        self._plans[key] = plan
+        record_plan_request(self.name, "miss", len(self._plans))
         return value
 
     def _compile_path(self, labels: list[str]) -> tuple[float, GramPlan]:
@@ -186,12 +174,12 @@ class MarkovPathEstimator(SelectivityEstimator):
         return estimate, GramPlan(head, tuple(steps), False)
 
     @staticmethod
-    def _path_labels(tree: LabeledTree) -> list[str]:
+    def _path_labels(key: Canon) -> list[str]:
         labels: list[str] = []
-        node = tree.root
+        node = key
         while True:
-            labels.append(tree.label(node))
-            kids = tree.child_ids(node)
+            labels.append(canon_label(node))
+            kids = canon_children(node)
             if not kids:
                 return labels
             if len(kids) > 1:
@@ -202,7 +190,7 @@ class MarkovPathEstimator(SelectivityEstimator):
             node = kids[0]
 
     def _path_count(self, labels: list[str]) -> int:
-        stored = self.lattice.get(LabeledTree.path(labels))
+        stored = self.lattice.get(_path_canon(labels))
         if stored is not None:
             if obs.enabled:
                 _record_gram("hit", labels)

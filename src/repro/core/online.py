@@ -28,7 +28,7 @@ from ..mining.freqt import mine_lattice
 from ..store.dict_store import DictStore
 from ..trees.canonical import Canon, canon_size, encode_canon
 from ..trees.labeled_tree import LabeledTree
-from .estimator import QueryLike, SelectivityEstimator, coerce_query_tree
+from .estimator import KeyedEstimator, QueryLike, query_key
 from .lattice import LatticeSummary
 from .recursive import RecursiveDecompositionEstimator
 
@@ -37,7 +37,7 @@ __all__ = ["WorkloadAwareLattice"]
 _COUNT_BYTES = 8
 
 
-class WorkloadAwareLattice(SelectivityEstimator):
+class WorkloadAwareLattice(KeyedEstimator):
     """An on-line, feedback-driven lattice summary under a byte budget.
 
     Parameters
@@ -92,23 +92,20 @@ class WorkloadAwareLattice(SelectivityEstimator):
         """
         if true_count < 0:
             raise ValueError("true_count must be non-negative")
-        tree = coerce_query_tree(query)
-        if tree.size > self.level or tree.size <= 2:
-            # Too large to store; too small to need storing.
-            self.observations += 1
-            if obs.enabled:
-                self._record_observation(tree.size, stored=False)
-            return False
-        from ..trees.canonical import canon
-
-        key = canon(tree)
+        key = query_key(query)
+        size = canon_size(key)
         self.observations += 1
+        if size > self.level or size <= 2:
+            # Too large to store; too small to need storing.
+            if obs.enabled:
+                self._record_observation(size, stored=False)
+            return False
         self._learned[key] = true_count
         self._hits[key] = self._hits.get(key, 0.0) + 1.0
         self._view = None
         self._enforce_budget()
         if obs.enabled:
-            self._record_observation(tree.size, stored=True)
+            self._record_observation(size, stored=True)
         return True
 
     def _record_observation(self, size: int, *, stored: bool) -> None:
@@ -175,18 +172,15 @@ class WorkloadAwareLattice(SelectivityEstimator):
     # Estimation
     # ------------------------------------------------------------------
 
-    def _estimate_tree(self, tree: LabeledTree) -> float:
+    def _estimate_key(self, key: Canon) -> float:
         estimator = RecursiveDecompositionEstimator(
             self._summary(), voting=self.voting
         )
         # Count a hit for every learned pattern the estimate touches:
         # approximate by crediting the query pattern itself when stored.
-        from ..trees.canonical import canon
-
-        key = canon(tree)
         if key in self._learned:
             self._hits[key] = self._hits.get(key, 0.0) + 1.0
-        return estimator._estimate_tree(tree)
+        return estimator._estimate_key(key)
 
     def _summary(self) -> LatticeSummary:
         if self._view is None:
@@ -213,9 +207,7 @@ class WorkloadAwareLattice(SelectivityEstimator):
 
     def knows(self, query: QueryLike) -> bool:
         """True when the exact pattern is currently stored."""
-        from ..trees.canonical import canon
-
-        return canon(coerce_query_tree(query)) in self._learned
+        return query_key(query) in self._learned
 
     def __repr__(self) -> str:
         return (

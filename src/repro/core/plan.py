@@ -18,11 +18,13 @@ nicety).  Plans are plain picklable values: estimators shipped to worker
 processes (:mod:`repro.parallel.batch`) carry their compiled plans with
 them.
 
-Plans are keyed by dense pattern ids from an estimator-owned
-:class:`~repro.trees.canonical.PatternInterner` (separate from any
-id space a summary store may use), and cache traffic is exported via
-:mod:`repro.obs` as ``plan_cache_requests_total`` plus the
-``plan_cache_size`` / ``intern_table_patterns`` gauges.
+Plans are keyed by the query's canonical form and compiled from the
+canonical instance of that form, so every plan is a function of its
+key.  The recursive plans' memo slots name sub-twigs by dense ids from
+the estimator's memo :class:`~repro.trees.canonical.PatternInterner`
+(separate from any id space a summary store may use).  Cache traffic
+is exported via :mod:`repro.obs` as ``plan_cache_requests_total`` plus
+the ``plan_cache_size`` / ``intern_table_patterns`` gauges.
 """
 
 from __future__ import annotations
@@ -54,9 +56,13 @@ _MemoSlotsT = tuple[tuple[int, int], ...]
 
 
 def record_plan_request(
-    estimator: str, outcome: str, plans: int, interned: int
+    estimator: str, outcome: str, plans: int, interned: int | None = None
 ) -> None:
-    """Metrics for one plan-cache probe (only called when obs is on)."""
+    """Metrics for one plan-cache probe (only called when obs is on).
+
+    ``interned`` is the size of the estimator's memo interner; only the
+    recursive estimator has one.
+    """
     if not obs.enabled:  # call sites check too; this is defence in depth
         return
     obs.registry.counter(
@@ -69,11 +75,12 @@ def record_plan_request(
         "Compiled plans held per estimator instance (last probe wins).",
         labels=("estimator",),
     ).set(plans, estimator=estimator)
-    obs.registry.gauge(
-        "intern_table_patterns",
-        "Patterns interned by each estimator's plan keyspace.",
-        labels=("estimator",),
-    ).set(interned, estimator=estimator)
+    if interned is not None:
+        obs.registry.gauge(
+            "intern_table_patterns",
+            "Sub-twig patterns interned by each estimator's memo.",
+            labels=("estimator",),
+        ).set(interned, estimator=estimator)
 
 
 class CompiledPlan:

@@ -17,12 +17,22 @@ the bottom-up scheme the paper describes and keeps the cost polynomial
 in the number of distinct sub-patterns instead of exponential in the
 recursion depth.
 
+Definition 1 matches unordered twigs, so the estimate is a function of
+the twig's canonical form alone.  Every twig that must be decomposed —
+the query and each memo-missed sub-twig — is first rebuilt as its
+canonical instance (:func:`~repro.trees.canonical.canon_to_tree`), so
+the leaf pairs are enumerated, and the votes summed, in an order set by
+the key rather than by whichever node numbering arrived first.
+Isomorphic spellings therefore get bit-identical estimates, on fresh
+and warmed estimators alike.
+
 The first estimate of each canonical shape additionally *compiles* the
 recursion into a :class:`~repro.core.plan.CompiledPlan` — summary
 lookups resolved to constants, the Theorem 1 arithmetic recorded as a
-replayable op DAG — so repeated-shape workloads skip tree decomposition
-entirely on later queries.  Warm replays are bit-identical to cold runs
-(see ``docs/architecture.md`` for the plan lifecycle).
+replayable op DAG — cached under the query's canonical form, so a
+repeated shape costs one dict probe and a replay.  Warm replays are
+bit-identical to cold runs (see ``docs/architecture.md`` for the plan
+lifecycle).
 """
 
 from __future__ import annotations
@@ -34,10 +44,17 @@ if TYPE_CHECKING:
     from ..kernels.program import PlanT
 
 from .. import obs
-from ..trees.canonical import Canon, PatternInterner, canon, encode_canon
+from ..trees.canonical import (
+    Canon,
+    PatternInterner,
+    canon,
+    canon_size,
+    canon_to_tree,
+    encode_canon,
+)
 from ..trees.labeled_tree import LabeledTree
 from .decompose import leaf_pair_decompositions
-from .estimator import SelectivityEstimator
+from .estimator import KeyedEstimator
 from .lattice import LatticeSummary
 from .plan import CompiledPlan, PlanBuilder, record_plan_request
 
@@ -66,7 +83,7 @@ def _record_lookup(
     )
 
 
-class RecursiveDecompositionEstimator(SelectivityEstimator):
+class RecursiveDecompositionEstimator(KeyedEstimator):
     """TreeLattice's recursive decomposition estimator.
 
     Parameters
@@ -85,9 +102,10 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         queries this instance estimates (instead of one fresh memo per
         query), so a workload of related twigs pays each distinct
         sub-pattern once.  Memoisation never changes a value — every
-        entry is a deterministic function of (canon, lattice) — so
-        estimates are bit-identical with the cache on or off.  Drop the
-        memo with :meth:`clear_cache` after mutating the summary.
+        entry is a deterministic function of (canon, lattice), computed
+        on the canonical instance — so estimates are bit-identical with
+        the cache on or off.  Drop the memo with :meth:`clear_cache`
+        after mutating the summary.
     """
 
     def __init__(
@@ -103,11 +121,11 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
             "recursive-decomp + voting" if voting else "recursive-decomp"
         )
         self._max_depth = 0
+        # Sub-twig memo, keyed by dense ids from the memo interner.
         self._shared_memo: dict[int, float] | None = {} if shared_cache else None
-        # Plan cache: canonical shape (as a dense id from the
-        # estimator-owned interner) -> compiled evaluation plan.
-        self._plan_keys = PatternInterner()
-        self._plans: dict[int, CompiledPlan] = {}
+        self._memo_keys = PatternInterner()
+        # Plan cache: canonical form of the query -> compiled plan.
+        self._plans: dict[Canon, CompiledPlan] = {}
         # Warm plans seen by the current kernel batch whose memo
         # donations have not been replayed yet (see _before_kernel_cold).
         self._kernel_pending: list[CompiledPlan] = []
@@ -142,22 +160,21 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         finally:
             self._shared_memo = None
 
-    def _estimate_trees(self, trees: Sequence[LabeledTree]) -> list[float]:
+    def _estimate_keys(self, keys: Sequence[Canon]) -> list[float]:
         """Batch hook: one memo shared by every query in the batch."""
         with self.batch_cache():
-            return [self._estimate_tree(tree) for tree in trees]
+            return [self._estimate_key(key) for key in keys]
 
     # ------------------------------------------------------------------
-    # Kernel batch hooks (see SelectivityEstimator._estimate_trees_kernel)
+    # Kernel batch hooks (see KeyedEstimator._estimate_keys_kernel)
     # ------------------------------------------------------------------
 
     supports_kernels = True
 
-    def _kernel_probe(self, tree: LabeledTree) -> tuple[int, "PlanT | None"]:
-        pattern_id = self._plan_keys.intern(canon(tree))
-        return pattern_id, self._plans.get(pattern_id)
+    def _kernel_probe(self, key: Canon) -> "PlanT | None":
+        return self._plans.get(key)
 
-    def _kernel_warm_plans(self) -> Sequence[tuple[int, "PlanT"]]:
+    def _kernel_warm_plans(self) -> Sequence[tuple[Canon, "PlanT"]]:
         return list(self._plans.items())
 
     @contextmanager
@@ -182,12 +199,12 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                     self._before_kernel_cold()
                 self._kernel_pending = []
 
-    def _note_kernel_hit(self, tree: LabeledTree, plan: "PlanT") -> None:
+    def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
         assert isinstance(plan, CompiledPlan)
         self._kernel_pending.append(plan)
         if obs.enabled:
             record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
+                self.name, "hit", len(self._plans), len(self._memo_keys)
             )
 
     def _before_kernel_cold(self) -> None:
@@ -209,16 +226,16 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                 plan.evaluate(memo)
         self._kernel_pending.clear()
 
-    def _estimate_tree(self, tree: LabeledTree) -> float:
-        memo = self._shared_memo if self._shared_memo is not None else {}
-        key = canon(tree)
-        pattern_id = self._plan_keys.intern(key)
-        plan = self._plans.get(pattern_id)
+    def _estimate_key(self, key: Canon) -> float:
+        plan = self._plans.get(key)
         if plan is not None:
+            # A replay donates sub-twig values only to a shared memo (a
+            # batch's, or a persistent one); a plain estimate has none.
+            shared = self._shared_memo
             if not obs.enabled:
-                return plan.evaluate(memo)
+                return plan.evaluate(shared)
             record_plan_request(
-                self.name, "hit", len(self._plans), len(self._plan_keys)
+                self.name, "hit", len(self._plans), len(self._memo_keys)
             )
             with obs.span("estimate", estimator=self.name, plan="hit") as root_span:
                 traced = obs.span_recording()
@@ -228,9 +245,9 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                     "estimate_seconds", "Per-query estimation wall time."
                 ).time() as frame:
                     value = (
-                        plan.evaluate_traced(memo)
+                        plan.evaluate_traced(shared)
                         if traced
-                        else plan.evaluate(memo)
+                        else plan.evaluate(shared)
                     )
                 root_span.set(value=value, depth=plan.max_depth)
             obs.registry.histogram(
@@ -242,11 +259,13 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                 "Per-query estimation latency quantiles.",
             ).observe(frame.elapsed)
             return value
+        memo = self._shared_memo if self._shared_memo is not None else {}
+        size = canon_size(key)
         builder = PlanBuilder()
         self._max_depth = 0
         if not obs.enabled:
-            value, root = self._compile(tree, memo, 0, builder)
-            self._plans[pattern_id] = builder.build(root, self._max_depth)
+            value, root = self._compile(key, size, memo, 0, builder)
+            self._plans[key] = builder.build(root, self._max_depth)
             return value
         with obs.span("estimate", estimator=self.name, plan="miss") as root_span:
             if obs.span_recording():
@@ -254,7 +273,7 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
             with obs.registry.timer(
                 "estimate_seconds", "Per-query estimation wall time."
             ).time() as frame:
-                value, root = self._compile(tree, memo, 0, builder)
+                value, root = self._compile(key, size, memo, 0, builder)
             root_span.set(value=value, depth=self._max_depth)
         obs.registry.histogram(
             "recursion_depth", "Deepest decomposition level reached per query."
@@ -263,15 +282,16 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
             "estimate_latency_seconds",
             "Per-query estimation latency quantiles.",
         ).observe(frame.elapsed)
-        self._plans[pattern_id] = builder.build(root, self._max_depth)
+        self._plans[key] = builder.build(root, self._max_depth)
         record_plan_request(
-            self.name, "miss", len(self._plans), len(self._plan_keys)
+            self.name, "miss", len(self._plans), len(self._memo_keys)
         )
         return value
 
     def _compile(
         self,
-        tree: LabeledTree,
+        key: Canon,
+        size: int,
         memo: dict[int, float],
         depth: int,
         builder: PlanBuilder,
@@ -280,10 +300,10 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
 
         This *is* the original estimation recursion — same lookups, same
         float operations, same observability — it just records every
-        value and operation into ``builder`` as a side effect.
+        value and operation into ``builder`` as a side effect.  ``key``
+        is the sub-twig's canonical form and ``size`` its node count.
         """
-        key = canon(tree)
-        pattern_id = self._plan_keys.intern(key)
+        pattern_id = self._memo_keys.intern(key)
         cached = memo.get(pattern_id)
         if cached is not None:
             if obs.enabled:
@@ -295,10 +315,13 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
             return cached, builder.const(cached)
         if obs.enabled:
             self._record_memo("miss")
-        value = self._lookup(key, tree.size)
+        value = self._lookup(key, size)
         if value is None:
+            # Decompose the canonical instance, so the value (and the
+            # memo entry) is a function of the key alone.
+            tree = canon_to_tree(key)
             if obs.enabled:
-                with obs.span("decompose", size=tree.size, depth=depth) as dspan:
+                with obs.span("decompose", size=size, depth=depth) as dspan:
                     if obs.span_recording():
                         dspan.set(pattern=encode_canon(key))
                     value, slot = self._compile_decompose(
@@ -361,8 +384,9 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         for split in leaf_pair_decompositions(tree):
             if obs.enabled:
                 obs.span_point("choice", index=count)
+            common, t1, t2 = split.common, split.t1, split.t2
             denominator, denominator_slot = self._compile(
-                split.common, memo, depth + 1, builder
+                canon(common), common.size, memo, depth + 1, builder
             )
             if denominator <= 0.0:
                 # The original recursion never evaluates t1/t2 here, so
@@ -371,10 +395,10 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                 part = builder.const(0.0)
             else:
                 t1_value, t1_slot = self._compile(
-                    split.t1, memo, depth + 1, builder
+                    canon(t1), t1.size, memo, depth + 1, builder
                 )
                 t2_value, t2_slot = self._compile(
-                    split.t2, memo, depth + 1, builder
+                    canon(t2), t2.size, memo, depth + 1, builder
                 )
                 estimate = t1_value * t2_value / denominator
                 part = builder.ratio(t1_slot, t2_slot, denominator_slot)

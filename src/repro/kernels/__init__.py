@@ -16,10 +16,11 @@ estimators expose it via ``estimate_batch(backend=...)`` and the CLI
 via ``--backend``.
 
 :class:`KernelState` is the per-estimator cache tying it together:
-lowered programs keyed by interned pattern id (picklable — shipped once
-per worker process and reused across chunks) plus a bounded per-process
-cache of numpy :class:`~repro.kernels.exec_numpy.PreparedBatch` index
-structures keyed by batch shape.
+lowered programs keyed by the query's canonical form, the key the
+estimator's plans are cached by (picklable — shipped once per worker
+process and reused across chunks) plus a bounded per-process cache of
+numpy :class:`~repro.kernels.exec_numpy.PreparedBatch` index structures
+keyed by batch shape.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .program import KernelProgram, lower_plan
 from .record import record_kernel_batch, record_prepared_batch
 
 if TYPE_CHECKING:
+    from ..trees.canonical import Canon
     from .program import PlanT
 
 __all__ = [
@@ -54,14 +56,14 @@ __all__ = [
 class KernelState:
     """Per-estimator kernel caches: lowered programs + prepared batches.
 
-    ``programs`` maps interned pattern id -> :class:`KernelProgram` and
-    is what pickles when an estimator ships to a worker process — flat
+    ``programs`` maps a canonical key -> :class:`KernelProgram` and is
+    what pickles when an estimator ships to a worker process — flat
     stdlib arrays, so the one-time per-worker cost is a few contiguous
     buffer copies.  The numpy ``PreparedBatch`` cache is process-local
-    (rebuilt lazily in each worker, keyed by the batch's distinct
-    pattern-id tuple) and bounded: when full it is cleared outright
-    rather than LRU-tracked — batch shapes are few and rebuilds cheap
-    relative to the bookkeeping.
+    (rebuilt lazily in each worker, keyed by the batch's key sequence)
+    and bounded: when full it is cleared outright rather than
+    LRU-tracked.  A batch whose key sequence is new is prepared afresh,
+    so the cache pays off only when the same batch repeats.
     """
 
     _PREPARED_LIMIT = 64
@@ -69,8 +71,8 @@ class KernelState:
     __slots__ = ("_programs", "_prepared")
 
     def __init__(self) -> None:
-        self._programs: dict[int, KernelProgram] = {}
-        self._prepared: dict[tuple[int, ...], Any] = {}
+        self._programs: dict["Canon", KernelProgram] = {}
+        self._prepared: dict[tuple["Canon", ...], Any] = {}
 
     @property
     def program_count(self) -> int:
@@ -80,45 +82,42 @@ class KernelState:
         self._programs.clear()
         self._prepared.clear()
 
-    def program_for(self, pattern_id: int, plan: "PlanT") -> KernelProgram:
+    def program_for(self, key: "Canon", plan: "PlanT") -> KernelProgram:
         """The lowered program for ``plan``, lowering on first sight."""
-        program = self._programs.get(pattern_id)
+        program = self._programs.get(key)
         if program is None:
             program = lower_plan(plan)
-            self._programs[pattern_id] = program
+            self._programs[key] = program
         return program
 
     def execute(
         self,
-        pattern_ids: list[int],
+        keys: list["Canon"],
         plans: list["PlanT"],
     ) -> list[float]:
         """Evaluate one program per query with numpy, in order.
 
-        ``pattern_ids`` and ``plans`` are parallel lists (repeats are
-        expected — that is the point of a warm batch).  The batch's
-        shape key is resolved against the prepared-batch cache.
+        ``keys`` and ``plans`` are parallel lists (repeats are expected
+        — that is the point of a warm batch).  The batch's key sequence
+        is resolved against the prepared-batch cache.
         """
-        programs = [
-            self.program_for(pattern_id, plan)
-            for pattern_id, plan in zip(pattern_ids, plans)
-        ]
-        key = tuple(pattern_ids)
-        prepared = self._prepared.get(key)
+        programs = [self.program_for(key, plan) for key, plan in zip(keys, plans)]
+        shape = tuple(keys)
+        prepared = self._prepared.get(shape)
         if prepared is None:
             from .exec_numpy import prepare_batch
 
             if len(self._prepared) >= self._PREPARED_LIMIT:
                 self._prepared.clear()
             prepared = prepare_batch(programs)
-            self._prepared[key] = prepared
+            self._prepared[shape] = prepared
             record_prepared_batch("numpy", len(programs), prepared.num_ops)
         result: list[float] = prepared.run()
         return result
 
-    def __getstate__(self) -> dict[int, KernelProgram]:
+    def __getstate__(self) -> dict["Canon", KernelProgram]:
         return self._programs
 
-    def __setstate__(self, state: dict[int, KernelProgram]) -> None:
+    def __setstate__(self, state: dict["Canon", KernelProgram]) -> None:
         self._programs = state
         self._prepared = {}

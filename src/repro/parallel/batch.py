@@ -2,10 +2,11 @@
 
 The estimator object is pickled to each worker once (through the pool
 initializer — estimators are small: a summary reference plus
-configuration), and each chunk of coerced query trees runs through the
-estimator's own batch hook, so per-chunk behaviour (including the
-recursive estimator's shared cross-query memo) matches the serial batch
-path.  Chunk results are concatenated in submission order; estimates
+configuration).  Queries are coerced once in the parent, so a keyed
+estimator's chunks carry canonical keys (a baseline's carry trees), and
+each chunk runs through the estimator's own batch hook, so per-chunk
+behaviour (including the recursive estimator's shared cross-query memo)
+matches the serial batch path.  Chunk results are concatenated in submission order; estimates
 are pure functions of ``(estimator, query)``, so the fan-out returns
 exactly what ``[estimator.estimate(q) for q in queries]`` would.
 
@@ -34,15 +35,14 @@ equal serial ones (asserted in ``tests/test_parallel.py``).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .. import obs
 from ..resilience import RetryPolicy, run_chunks
-from ..trees.labeled_tree import LabeledTree
 from .pool import PoolSupervisor, chunked
 
 if TYPE_CHECKING:  # import cycle: core.estimator lazily imports this module
-    from ..core.estimator import SelectivityEstimator
+    from ..core.estimator import QueryLike, SelectivityEstimator
 
 __all__ = ["estimate_trees_parallel", "DEFAULT_CHUNKS_PER_WORKER", "FAULT_SITE"]
 
@@ -64,35 +64,32 @@ def _init_worker(estimator: "SelectivityEstimator", backend: str = "plan") -> No
 
 
 def _estimate_chunk(
-    trees: list[LabeledTree],
+    chunk: list[Any],
     snapshot: obs.TelemetrySnapshot | None,
 ) -> tuple[list[float], obs.WorkerTelemetry | None]:
     estimator = _worker_estimator
     if estimator is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("estimation worker used before initialisation")
-    backend = _worker_backend
     if snapshot is None:
-        if backend != "plan":
-            return estimator._estimate_trees_kernel(trees, backend), None
-        return estimator._estimate_trees(trees), None
+        return estimator._estimate_coerced(chunk, _worker_backend), None
     with obs.worker_window(snapshot) as telemetry:
-        if backend != "plan":
-            values = estimator._estimate_trees_kernel(trees, backend)
-        else:
-            values = estimator._estimate_trees(trees)
+        values = estimator._estimate_coerced(chunk, _worker_backend)
     return values, telemetry
 
 
 def estimate_trees_parallel(
     estimator: "SelectivityEstimator",
-    trees: Sequence[LabeledTree],
+    queries: "Sequence[QueryLike]",
     *,
     workers: int,
     chunk_size: int | None = None,
     backend: str = "plan",
     retry: RetryPolicy | None = None,
 ) -> list[float]:
-    """Estimate ``trees`` across ``workers`` processes, preserving order.
+    """Estimate ``queries`` across ``workers`` processes, preserving order.
+
+    ``queries`` may take any accepted form; each is coerced once here,
+    before chunking (:meth:`SelectivityEstimator._coerce`).
 
     ``chunk_size`` pins the number of queries per submitted task; by
     default the batch is split into ``workers * 4`` near-even chunks.
@@ -120,14 +117,15 @@ def estimate_trees_parallel(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if backend != "plan":
         state = estimator._kernel_state()
-        for pattern_id, plan in estimator._kernel_warm_plans():
-            state.program_for(pattern_id, plan)
+        for key, plan in estimator._kernel_warm_plans():
+            state.program_for(key, plan)
+    batch = [estimator._coerce(query) for query in queries]
     if chunk_size is None:
-        chunks = chunked(trees, workers * DEFAULT_CHUNKS_PER_WORKER)
+        chunks = chunked(batch, workers * DEFAULT_CHUNKS_PER_WORKER)
     else:
         chunks = [
-            list(trees[start : start + chunk_size])
-            for start in range(0, len(trees), chunk_size)
+            batch[start : start + chunk_size]
+            for start in range(0, len(batch), chunk_size)
         ]
     if not chunks:
         return []
@@ -143,15 +141,13 @@ def estimate_trees_parallel(
         )
 
     def _serial_chunk(
-        task: tuple[list[LabeledTree], obs.TelemetrySnapshot | None],
+        task: tuple[list[Any], obs.TelemetrySnapshot | None],
     ) -> tuple[list[float], obs.WorkerTelemetry | None]:
         # Degraded-mode fallback: replay the chunk in-process.  The
         # parent's live registry records telemetry directly, so no
         # worker window is needed (and ``None`` skips absorption).
-        chunk_trees, _ = task
-        if backend != "plan":
-            return estimator._estimate_trees_kernel(chunk_trees, backend), None
-        return estimator._estimate_trees(chunk_trees), None
+        chunk, _ = task
+        return estimator._estimate_coerced(chunk, backend), None
 
     supervisor = PoolSupervisor(_make_executor)
     try:

@@ -110,14 +110,21 @@ def canon_to_tree(c: Canon) -> LabeledTree:
     """Materialise a canon tuple as a :class:`LabeledTree`.
 
     Nodes are created in canonical pre-order, so ``canon(canon_to_tree(c))
-    == c`` and node 0 is the root.
+    == c`` and node 0 is the root.  The estimators rebuild every twig
+    they decompose this way, so the node lists are filled directly.
     """
     tree = LabeledTree(c[0])
+    labels, parents, children = tree.labels, tree.parents, tree.children
     stack = [(0, kid) for kid in reversed(c[1])]
     while stack:
-        parent, kid = stack.pop()
-        node = tree.add_child(parent, kid[0])
-        stack.extend((node, g) for g in reversed(kid[1]))
+        parent, (label, kids) = stack.pop()
+        node = len(labels)
+        labels.append(label)
+        parents.append(parent)
+        children.append([])
+        children[parent].append(node)
+        if kids:
+            stack.extend([(node, grandkid) for grandkid in reversed(kids)])
     return tree
 
 
@@ -289,7 +296,7 @@ class PatternInterner:
     (``0 .. len(self) - 1``) in first-intern order, and
     ``canon_of(intern(c)) == c`` for every interned canon — the
     round-trip the :class:`~repro.store.ArrayStore` backend and the
-    estimators' plan caches rest on.
+    recursive estimator's sub-twig memo rest on.
     """
 
     __slots__ = ("_labels", "_label_ids", "_codes", "_code_ids")

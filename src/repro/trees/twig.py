@@ -28,7 +28,8 @@ from typing import Iterable
 from .canonical import (
     Canon,
     canon,
-    decode_tree,
+    canon_to_tree,
+    decode_canon,
     encode_tree,
 )
 from .labeled_tree import LabeledTree, NestedSpec, TreeBuildError
@@ -55,11 +56,18 @@ class TwigQuery:
 
     @classmethod
     def from_pattern(cls, text: str) -> "TwigQuery":
-        """Parse the canonical pattern codec, e.g. ``a(b,c(d))``."""
+        """Parse the canonical pattern codec, e.g. ``a(b,c(d))``.
+
+        Decoding already yields the canonical form, so the query starts
+        with :meth:`canonical` answered.
+        """
         try:
-            return cls(decode_tree(text))
+            key = decode_canon(text)
         except TreeBuildError as exc:
             raise TwigParseError(str(exc)) from exc
+        query = cls(canon_to_tree(key))
+        query._canon = key
+        return query
 
     @classmethod
     def from_xpath(cls, text: str) -> "TwigQuery":
@@ -112,7 +120,12 @@ class TwigQuery:
         return self.tree.size
 
     def canonical(self) -> Canon:
-        """Canonical tuple identifying this query up to isomorphism."""
+        """Canonical tuple identifying this query up to isomorphism.
+
+        Computed once per query object and cached: the estimators key
+        their compiled plans by it, so asking the same object again
+        costs no tree walk.
+        """
         if self._canon is None:
             self._canon = canon(self.tree)
         return self._canon

@@ -73,6 +73,29 @@ def shuffled_copy(draw, tree):
     return copy
 
 
+@st.composite
+def document_twig(draw, k=3):
+    """A document and a connected twig of ``k+1`` to ``k+4`` of its nodes.
+
+    The twig is grown downward from a drawn start node, one drawn
+    frontier child at a time, and cut out with ``induced_subtree``.
+    """
+    doc = draw(random_tree(min_size=k + 4, max_size=14, labels="abc"))
+    size = draw(st.integers(k + 1, k + 4))
+    below = [1] * doc.size
+    for node in reversed(list(doc.preorder())):
+        if node != doc.root:
+            below[doc.parent(node)] += below[node]
+    start = draw(st.sampled_from([n for n in range(doc.size) if below[n] >= size]))
+    chosen = [start]
+    frontier = list(doc.child_ids(start))
+    while len(chosen) < size:
+        node = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+        chosen.append(node)
+        frontier.extend(doc.child_ids(node))
+    return doc, doc.induced_subtree(chosen)
+
+
 # ----------------------------------------------------------------------
 # Canonical forms
 # ----------------------------------------------------------------------
@@ -269,3 +292,47 @@ class TestEstimatorProperties:
         ):
             if query.size >= 2 or True:
                 assert estimator.estimate(query) >= 0.0
+
+
+# ----------------------------------------------------------------------
+# An estimate depends only on the twig
+# ----------------------------------------------------------------------
+
+
+def twig_estimators(twig):
+    """Factories of every estimator that accepts ``twig``."""
+    makers = [
+        RecursiveDecompositionEstimator,
+        lambda lattice: RecursiveDecompositionEstimator(lattice, voting=True),
+        FixedDecompositionEstimator,
+    ]
+    if TwigQuery(twig).is_path():
+        makers.append(MarkovPathEstimator)
+    return makers
+
+
+class TestEstimateDependsOnlyOnTwig:
+    """Definition 1 matches unordered twigs, so node numbering is noise.
+
+    A twig and its re-numbered twin (children shuffled at every node)
+    must estimate bit-identically, whatever the estimator saw before.
+    """
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_renumbered_twin_estimates_bit_identically(self, data):
+        doc, twig = data.draw(document_twig())
+        twin = data.draw(shuffled_copy(twig))
+        lattice = LatticeSummary.build(doc, 3)
+        for make in twig_estimators(twig):
+            value = make(lattice).estimate(twig)
+            # (a) a fresh estimator per instance
+            assert make(lattice).estimate(twin) == value
+            # (b) an estimator that first estimated the twin
+            warmed = make(lattice)
+            warmed.estimate(twin)
+            assert warmed.estimate(twig) == value
+            # (c) a batch on a fresh estimator against fresh per-query calls
+            assert make(lattice).estimate_batch([twin, twig]) == [
+                make(lattice).estimate(query) for query in (twin, twig)
+            ]

@@ -9,6 +9,8 @@ from repro import (
     TwigQuery,
     count_matches,
 )
+from repro.kernels import HAVE_NUMPY
+from repro.trees.canonical import canon, canon_to_tree, decode_canon
 
 
 class TestWithinLattice:
@@ -149,3 +151,59 @@ class TestLargeQueryAgainstTruth:
         ]
         for text in queries:
             assert estimator.estimate(text) >= 0.0
+
+
+class TestQueryKey:
+    """Each query is resolved to its canonical form once, on every path."""
+
+    #: Size 6 (> k = 4), with the children of ``laptop`` out of order.
+    UNSORTED = (
+        "computer",
+        (
+            ("laptops", (("laptop", (("price", ()), ("brand", ()))),)),
+            ("desktops", ()),
+        ),
+    )
+    TEXT = "computer(desktops,laptops(laptop(brand,price)))"
+
+    def test_unsorted_canon_tuple_is_recanonicalised(self, figure1_lattice):
+        sorted_twin = canon(canon_to_tree(self.UNSORTED))
+        assert sorted_twin != self.UNSORTED
+        expected = RecursiveDecompositionEstimator(figure1_lattice).estimate(
+            self.TEXT
+        )
+        estimator = RecursiveDecompositionEstimator(figure1_lattice)
+        assert estimator.estimate(self.UNSORTED) == expected
+        assert estimator.estimate(sorted_twin) == expected
+        assert estimator.estimate(self.TEXT) == expected
+        assert len(estimator._plans) == 1
+
+    def test_from_pattern_seeds_the_canonical_form(self, monkeypatch):
+        def no_walk(tree):
+            raise AssertionError("canonical() walked the tree")
+
+        monkeypatch.setattr("repro.trees.twig.canon", no_walk)
+        query = TwigQuery.from_pattern(self.TEXT)
+        assert query.canonical() == decode_canon(self.TEXT)
+
+    def test_mixed_input_batch_matches_plan_path(self, figure1_lattice):
+        text = "computer(laptops(laptop(brand,price)),desktops(desktop))"
+        queries = [
+            TwigQuery.parse(text),
+            TwigQuery.parse(text).tree,
+            text,
+            self.UNSORTED,
+            TwigQuery.parse("/computer/laptops/laptop[brand]/price"),
+            self.TEXT,
+        ]
+
+        def fresh():
+            return RecursiveDecompositionEstimator(figure1_lattice, voting=True)
+
+        expected = [fresh().estimate(query) for query in queries]
+        assert fresh().estimate_batch(queries) == expected
+        assert fresh().estimate_batch(queries, workers=2) == expected
+        if HAVE_NUMPY:
+            estimator = fresh()
+            assert estimator.estimate_batch(queries, backend="numpy") == expected
+            assert estimator.estimate_batch(queries, backend="numpy") == expected
