@@ -18,14 +18,19 @@ the three estimate streams is asserted alongside the overhead bound.
 
 import gc
 import time
+from itertools import combinations
 
 from conftest import PER_LEVEL
 
 from repro import obs
 from repro.bench import emit_report, format_table, prepare_dataset
-from repro.core.decompose import leaf_pair_decompositions
 from repro.core.recursive import RecursiveDecompositionEstimator
-from repro.trees.canonical import canon, canon_to_tree
+from repro.trees.canonical import (
+    canon,
+    canon_removable_paths,
+    canon_size,
+    canon_without,
+)
 
 REPEATS = 5
 OVERHEAD_BUDGET = 0.05
@@ -39,24 +44,26 @@ SPAN_OVERHEAD_BUDGET = 0.10
 class _SeedVotingEstimator:
     """The seed repository's voting recursion, free of instrumentation.
 
-    Like the shipped estimator, it decomposes each twig's canonical
-    instance, so both do the same float operations in the same order.
+    Like the shipped estimator, it splits each twig's canonical key with
+    the same key primitives, in the same pair order, so both do the same
+    float operations in the same order and the gate compares like with
+    like.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
 
     def estimate(self, query) -> float:
-        return self._estimate(query, {})
+        key = canon(query)
+        return self._estimate(key, canon_size(key), {})
 
-    def _estimate(self, tree, memo) -> float:
-        key = canon(tree)
+    def _estimate(self, key, size, memo) -> float:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        value = self._lookup(key, tree.size)
+        value = self._lookup(key, size)
         if value is None:
-            value = self._decompose(canon_to_tree(key), memo)
+            value = self._decompose(key, size, memo)
         memo[key] = value
         return value
 
@@ -72,17 +79,23 @@ class _SeedVotingEstimator:
             return 0.0
         return None
 
-    def _decompose(self, tree, memo) -> float:
+    def _decompose(self, key, size, memo) -> float:
         total = 0.0
         count = 0
-        for split in leaf_pair_decompositions(tree):
-            denominator = self._estimate(split.common, memo)
+        paths = canon_removable_paths(key)
+        drop_one = {}
+        for u, v in combinations(range(len(paths)), 2):
+            common = canon_without(key, (paths[u], paths[v]))
+            denominator = self._estimate(common, size - 2, memo)
             if denominator <= 0.0:
                 estimate = 0.0
             else:
+                for node in (u, v):
+                    if node not in drop_one:
+                        drop_one[node] = canon_without(key, (paths[node],))
                 estimate = (
-                    self._estimate(split.t1, memo)
-                    * self._estimate(split.t2, memo)
+                    self._estimate(drop_one[u], size - 1, memo)
+                    * self._estimate(drop_one[v], size - 1, memo)
                     / denominator
                 )
             total += estimate

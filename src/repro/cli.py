@@ -47,7 +47,7 @@ import argparse
 import json
 import sys
 import time
-
+from pathlib import Path
 from typing import Callable
 
 from . import obs
@@ -602,7 +602,7 @@ def _do_estimate_explained(
 def _read_batch_file(path: str) -> list[str]:
     """Query texts from a batch file: one per line, blank/# lines skipped."""
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CliUsageError(f"cannot read batch file {path!r}: {exc}") from exc
     texts = [

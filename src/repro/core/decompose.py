@@ -9,6 +9,14 @@ Two ways to take a twig apart:
   ``n - k + 1`` subtrees of size ``k`` in canonical pre-order, each new
   block overlapping the covered prefix in a ``(k-1)``-subtree (Lemma 2,
   whose constructive proof is this function).
+
+The recursive estimator does not build these trees: it splits canonical
+keys with :func:`~repro.trees.canonical.canon_removable_paths` and
+:func:`~repro.trees.canonical.canon_without`, in the pair order
+:func:`leaf_pair_decompositions` gives the key's canonical instance.
+Those primitives are property-tested against the
+:class:`~repro.trees.labeled_tree.LabeledTree` operations this module
+splits with: ``removable_nodes``, ``remove_node`` and ``remove_nodes``.
 """
 
 from __future__ import annotations

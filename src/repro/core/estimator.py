@@ -236,10 +236,10 @@ class KeyedEstimator(SelectivityEstimator):
     :meth:`estimate` and :meth:`estimate_batch` resolve each query to its
     key once (:func:`query_key`) and hand only the key on: subclasses
     implement :meth:`_estimate_key`, key their compiled plans by it and
-    compile from the canonical instance (:func:`canon_to_tree`), so a
-    warm probe is one dict lookup and isomorphic spellings agree bit for
-    bit.  Estimators that set :attr:`supports_kernels` also implement
-    :meth:`_kernel_probe` and :meth:`_kernel_warm_plans`.
+    compile from the key alone, so a warm probe is one dict lookup and
+    isomorphic spellings agree bit for bit.  Estimators that set
+    :attr:`supports_kernels` also implement :meth:`_kernel_probe` and
+    :meth:`_kernel_warm_plans`.
     """
 
     def estimate(self, query: QueryLike) -> float:
@@ -280,11 +280,9 @@ class KeyedEstimator(SelectivityEstimator):
         Warm queries (shape already compiled) are deferred and executed
         together through :meth:`KernelState.execute`; cold queries run
         the untouched legacy :meth:`_estimate_key` (which compiles the
-        plan, so the shape is warm for every later batch).  The
-        :meth:`_before_kernel_cold` hook lets estimators reproduce
-        legacy cross-query state (the recursive memo donations) before
-        each cold compile, keeping values *and* observability counters
-        identical to the plan-replay path.
+        plan, so the shape is warm for every later batch).  A warm
+        replay feeds nothing to later compiles, so deferring it changes
+        neither values nor observability counters.
         """
         state = self._kernel_state()
         if not obs.enabled:
@@ -318,7 +316,6 @@ class KeyedEstimator(SelectivityEstimator):
                     warm_keys.append(key)
                     warm_plans.append(plan)
                 else:
-                    self._before_kernel_cold()
                     results[index] = self._estimate_key(key)
             if warm_indices:
                 values = state.execute(warm_keys, warm_plans)
@@ -333,11 +330,8 @@ class KeyedEstimator(SelectivityEstimator):
         )
 
     def _kernel_batch_scope(self) -> ContextManager[None]:
-        """Cross-query state scope for one kernel batch (memo, pending)."""
+        """Cross-query state scope for one kernel batch (the batch memo)."""
         return nullcontext()
 
     def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
         """A warm query was deferred to the kernel executor."""
-
-    def _before_kernel_cold(self) -> None:
-        """Restore legacy cross-query state before a cold compile."""

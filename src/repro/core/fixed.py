@@ -94,8 +94,7 @@ class FixedDecompositionEstimator(KeyedEstimator):
     def _kernel_batch_scope(self) -> ContextManager[None]:
         # Cold covers fall back to the recursive estimator for pruned
         # blocks; share its memo across the batch, exactly like the
-        # legacy batch hook.  Cover plans donate nothing to that memo,
-        # so no pending-flush bookkeeping is needed here.
+        # legacy batch hook.
         return self._fallback.batch_cache()
 
     def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:

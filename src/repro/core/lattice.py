@@ -33,8 +33,8 @@ from ..store import ArrayStore, SummaryStore, coerce_store, make_store
 from ..store.errors import MergeError, TruncatedPayload, UnsupportedVersion
 from ..trees.canonical import (
     Canon,
+    canon_decoder,
     canon_size,
-    decode_canon,
     encode_canon,
 )
 from ..trees.labeled_tree import LabeledTree
@@ -353,9 +353,12 @@ class LatticeSummary:
             f"#treelattice v={FORMAT_VERSION} level={self.level} "
             f"complete={complete}"
         ]
-        counts = dict(self._store.items())
-        for c in sorted(counts, key=encode_canon):
-            lines.append(f"{counts[c]}\t{encode_canon(c)}")
+        # Each key is encoded once; distinct keys encode distinctly, so
+        # sorting the pairs never compares two counts.
+        for encoded, count in sorted(
+            (encode_canon(c), count) for c, count in self._store.items()
+        ):
+            lines.append(f"{count}\t{encoded}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -383,12 +386,13 @@ class LatticeSummary:
             )
         level = int(header["level"])
         complete = [int(s) for s in header.get("complete", "").split(",") if s]
+        decode = canon_decoder()
         counts: dict[Canon, int] = {}
         for line in text[1:]:
             if not line.strip():
                 continue
             count_str, key = line.split("\t", 1)
-            counts[decode_canon(key)] = int(count_str)
+            counts[decode(key)] = int(count_str)
         return cls(level, counts, complete_sizes=complete)
 
     @classmethod

@@ -18,13 +18,13 @@ nicety).  Plans are plain picklable values: estimators shipped to worker
 processes (:mod:`repro.parallel.batch`) carry their compiled plans with
 them.
 
-Plans are keyed by the query's canonical form and compiled from the
-canonical instance of that form, so every plan is a function of its
-key.  The recursive plans' memo slots name sub-twigs by dense ids from
-the estimator's memo :class:`~repro.trees.canonical.PatternInterner`
-(separate from any id space a summary store may use).  Cache traffic
-is exported via :mod:`repro.obs` as ``plan_cache_requests_total`` plus
-the ``plan_cache_size`` / ``intern_table_patterns`` gauges.
+Plans are keyed by the query's canonical form and compiled from that
+key alone, so every plan is a function of its key.  A recursive plan
+holds one slot per distinct sub-twig it computes: when the recursion
+meets a sub-twig the plan already holds, it reuses that slot.  A replay
+computes the query's estimate and nothing else; it fills no memo.
+Cache traffic is exported via :mod:`repro.obs` as
+``plan_cache_requests_total`` plus the ``plan_cache_size`` gauge.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .. import obs
+from ..trees.canonical import Canon
 
 __all__ = [
     "CompiledPlan",
@@ -52,17 +53,10 @@ RATIO_OP = _OP_RATIO
 AVG_OP = _OP_AVG
 
 _OpsT = tuple[tuple[int, int, tuple[int, ...]], ...]
-_MemoSlotsT = tuple[tuple[int, int], ...]
 
 
-def record_plan_request(
-    estimator: str, outcome: str, plans: int, interned: int | None = None
-) -> None:
-    """Metrics for one plan-cache probe (only called when obs is on).
-
-    ``interned`` is the size of the estimator's memo interner; only the
-    recursive estimator has one.
-    """
+def record_plan_request(estimator: str, outcome: str, plans: int) -> None:
+    """Metrics for one plan-cache probe (only called when obs is on)."""
     if not obs.enabled:  # call sites check too; this is defence in depth
         return
     obs.registry.counter(
@@ -75,12 +69,6 @@ def record_plan_request(
         "Compiled plans held per estimator instance (last probe wins).",
         labels=("estimator",),
     ).set(plans, estimator=estimator)
-    if interned is not None:
-        obs.registry.gauge(
-            "intern_table_patterns",
-            "Sub-twig patterns interned by each estimator's memo.",
-            labels=("estimator",),
-        ).set(interned, estimator=estimator)
 
 
 class CompiledPlan:
@@ -97,7 +85,7 @@ class CompiledPlan:
       exactly: ``(0.0 + r) / 1 == r``).
     """
 
-    __slots__ = ("_base", "_ops", "root", "max_depth", "memo_slots")
+    __slots__ = ("_base", "_ops", "root", "max_depth")
 
     def __init__(
         self,
@@ -105,7 +93,6 @@ class CompiledPlan:
         ops: _OpsT,
         root: int,
         max_depth: int,
-        memo_slots: _MemoSlotsT,
     ) -> None:
         self._base = list(base)
         self._ops = ops
@@ -114,12 +101,9 @@ class CompiledPlan:
         #: Deepest decomposition level of the original recursion (what a
         #: cold run would have reported as ``recursion_depth``).
         self.max_depth = max_depth
-        #: ``(pattern_id, slot)`` pairs: sub-twig values a warm replay
-        #: can donate to a batch memo.
-        self.memo_slots = memo_slots
 
-    def evaluate(self, memo: dict[int, float] | None = None) -> float:
-        """Replay the plan; optionally donate sub-values to ``memo``."""
+    def evaluate(self) -> float:
+        """Replay the plan."""
         slots = list(self._base)
         for opcode, dst, operands in self._ops:
             if opcode == _OP_RATIO:
@@ -134,13 +118,9 @@ class CompiledPlan:
                 for part in operands:
                     total += slots[part]
                 slots[dst] = total / len(operands)
-        if memo is not None:
-            for pattern_id, slot in self.memo_slots:
-                if pattern_id not in memo:
-                    memo[pattern_id] = slots[slot]
         return slots[self.root]
 
-    def evaluate_traced(self, memo: dict[int, float] | None = None) -> float:
+    def evaluate_traced(self) -> float:
         """Replay the plan, emitting one ``plan_step`` span point per op.
 
         Same float operations in the same order as :meth:`evaluate` —
@@ -152,10 +132,10 @@ class CompiledPlan:
         difference between a cheap and a costly sampled estimate.
         """
         if not obs.enabled:
-            return self.evaluate(memo)
+            return self.evaluate()
         tracer = obs.span_tracer
         if tracer is None:
-            return self.evaluate(memo)
+            return self.evaluate()
         point = tracer.point
         slots = list(self._base)
         for opcode, dst, operands in self._ops:
@@ -185,10 +165,6 @@ class CompiledPlan:
                     parts=len(operands),
                     value=slots[dst],
                 )
-        if memo is not None:
-            for pattern_id, slot in self.memo_slots:
-                if pattern_id not in memo:
-                    memo[pattern_id] = slots[slot]
         return slots[self.root]
 
     @property
@@ -204,21 +180,11 @@ class CompiledPlan:
         """
         return (self._base, self._ops, self.root)
 
-    def __getstate__(
-        self,
-    ) -> tuple[list[float], _OpsT, int, int, _MemoSlotsT]:
-        return (self._base, self._ops, self.root, self.max_depth, self.memo_slots)
+    def __getstate__(self) -> tuple[list[float], _OpsT, int, int]:
+        return (self._base, self._ops, self.root, self.max_depth)
 
-    def __setstate__(
-        self, state: tuple[list[float], _OpsT, int, int, _MemoSlotsT]
-    ) -> None:
-        (
-            self._base,
-            self._ops,
-            self.root,
-            self.max_depth,
-            self.memo_slots,
-        ) = state
+    def __setstate__(self, state: tuple[list[float], _OpsT, int, int]) -> None:
+        self._base, self._ops, self.root, self.max_depth = state
 
     def __repr__(self) -> str:
         return (
@@ -228,14 +194,18 @@ class CompiledPlan:
 
 
 class PlanBuilder:
-    """Accumulates slots and ops while the cold-path recursion runs."""
+    """Accumulates slots and ops while the cold-path recursion runs.
 
-    __slots__ = ("_values", "_ops", "_memo_slots")
+    The builder also names the slot of every sub-twig key the plan
+    holds, so a sub-twig that recurs inside one plan gets one slot.
+    """
+
+    __slots__ = ("_values", "_ops", "_named")
 
     def __init__(self) -> None:
         self._values: list[float] = []
         self._ops: list[tuple[int, int, tuple[int, ...]]] = []
-        self._memo_slots: list[tuple[int, int]] = []
+        self._named: dict[Canon, int] = {}
 
     def const(self, value: float) -> int:
         """New slot pre-loaded with ``value``; returns its index."""
@@ -254,18 +224,23 @@ class PlanBuilder:
         self._ops.append((_OP_AVG, dst, tuple(parts)))
         return dst
 
-    def note_memo(self, pattern_id: int, slot: int) -> None:
-        """Record that ``slot`` holds the estimate of ``pattern_id``."""
-        self._memo_slots.append((pattern_id, slot))
+    def name(self, key: Canon, slot: int) -> None:
+        """Record that ``slot`` holds the estimate of sub-twig ``key``."""
+        self._named[key] = slot
+
+    def slot_of(self, key: Canon, value: float) -> int:
+        """The slot holding ``key``'s estimate ``value``, made if absent.
+
+        A key computed earlier in this plan keeps its slot; a key known
+        only from a memo shared with other plans gets one constant slot.
+        """
+        slot = self._named.get(key)
+        if slot is None:
+            slot = self._named[key] = self.const(value)
+        return slot
 
     def build(self, root: int, max_depth: int) -> CompiledPlan:
-        return CompiledPlan(
-            self._values,
-            tuple(self._ops),
-            root,
-            max_depth,
-            tuple(self._memo_slots),
-        )
+        return CompiledPlan(self._values, tuple(self._ops), root, max_depth)
 
 
 class CoverPlan:

@@ -18,27 +18,31 @@ in the number of distinct sub-patterns instead of exponential in the
 recursion depth.
 
 Definition 1 matches unordered twigs, so the estimate is a function of
-the twig's canonical form alone.  Every twig that must be decomposed —
-the query and each memo-missed sub-twig — is first rebuilt as its
-canonical instance (:func:`~repro.trees.canonical.canon_to_tree`), so
-the leaf pairs are enumerated, and the votes summed, in an order set by
-the key rather than by whichever node numbering arrived first.
-Isomorphic spellings therefore get bit-identical estimates, on fresh
-and warmed estimators alike.
+the twig's canonical form alone.  The recursion works on keys: every
+twig that must be decomposed — the query and each memo-missed sub-twig
+— is split by dropping removable nodes from its canonical tuple
+(:func:`~repro.trees.canonical.canon_removable_paths`,
+:func:`~repro.trees.canonical.canon_without`), so the leaf pairs are
+enumerated, and the votes summed, in an order set by the key: the order
+:func:`~repro.core.decompose.leaf_pair_decompositions` gives the
+key's canonical instance.  Isomorphic spellings therefore get
+bit-identical estimates, on fresh and warmed estimators alike, and the
+memo is keyed by the canonical tuple itself.
 
 The first estimate of each canonical shape additionally *compiles* the
 recursion into a :class:`~repro.core.plan.CompiledPlan` — summary
 lookups resolved to constants, the Theorem 1 arithmetic recorded as a
-replayable op DAG — cached under the query's canonical form, so a
-repeated shape costs one dict probe and a replay.  Warm replays are
-bit-identical to cold runs (see ``docs/architecture.md`` for the plan
-lifecycle).
+replayable op DAG with one slot per distinct sub-twig — cached under
+the query's canonical form, so a repeated shape costs one dict probe
+and a replay.  Warm replays are bit-identical to cold runs (see
+``docs/architecture.md`` for the plan lifecycle).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, ContextManager, Iterator, Sequence
 
 if TYPE_CHECKING:
     from ..kernels.program import PlanT
@@ -46,14 +50,11 @@ if TYPE_CHECKING:
 from .. import obs
 from ..trees.canonical import (
     Canon,
-    PatternInterner,
-    canon,
+    canon_removable_paths,
     canon_size,
-    canon_to_tree,
+    canon_without,
     encode_canon,
 )
-from ..trees.labeled_tree import LabeledTree
-from .decompose import leaf_pair_decompositions
 from .estimator import KeyedEstimator
 from .lattice import LatticeSummary
 from .plan import CompiledPlan, PlanBuilder, record_plan_request
@@ -103,8 +104,8 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
         query), so a workload of related twigs pays each distinct
         sub-pattern once.  Memoisation never changes a value — every
         entry is a deterministic function of (canon, lattice), computed
-        on the canonical instance — so estimates are bit-identical with
-        the cache on or off.  Drop the memo with :meth:`clear_cache`
+        from the key alone — so estimates are bit-identical with the
+        cache on or off.  Drop the memo with :meth:`clear_cache`
         after mutating the summary.
     """
 
@@ -121,14 +122,10 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
             "recursive-decomp + voting" if voting else "recursive-decomp"
         )
         self._max_depth = 0
-        # Sub-twig memo, keyed by dense ids from the memo interner.
-        self._shared_memo: dict[int, float] | None = {} if shared_cache else None
-        self._memo_keys = PatternInterner()
+        # Sub-twig memo, keyed by canonical form.
+        self._shared_memo: dict[Canon, float] | None = {} if shared_cache else None
         # Plan cache: canonical form of the query -> compiled plan.
         self._plans: dict[Canon, CompiledPlan] = {}
-        # Warm plans seen by the current kernel batch whose memo
-        # donations have not been replayed yet (see _before_kernel_cold).
-        self._kernel_pending: list[CompiledPlan] = []
 
     def clear_cache(self) -> None:
         """Forget memoised selectivities *and* compiled plans.
@@ -177,66 +174,20 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
     def _kernel_warm_plans(self) -> Sequence[tuple[Canon, "PlanT"]]:
         return list(self._plans.items())
 
-    @contextmanager
-    def _kernel_batch_scope(self) -> Iterator[None]:
-        """Batch memo plus the pending-donation list for this batch.
-
-        On exit, warm plans whose donations were never needed by a cold
-        compile are flushed only when the memo is *persistent*
-        (``shared_cache=True``): a later batch's cold compile must see
-        exactly the memo a legacy batch would have left behind.  With a
-        per-batch memo the leftover donations die with the scope, so the
-        flush (which replays plans scalar-ly) is skipped — that is what
-        keeps all-warm kernel batches free of per-query Python work.
-        """
-        persistent = self._shared_memo is not None
-        self._kernel_pending = []
-        with self.batch_cache():
-            try:
-                yield
-            finally:
-                if persistent:
-                    self._before_kernel_cold()
-                self._kernel_pending = []
+    def _kernel_batch_scope(self) -> ContextManager[None]:
+        # Cold compiles in the batch share one memo, as on the plan path.
+        return self.batch_cache()
 
     def _note_kernel_hit(self, key: Canon, plan: "PlanT") -> None:
-        assert isinstance(plan, CompiledPlan)
-        self._kernel_pending.append(plan)
         if obs.enabled:
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._memo_keys)
-            )
-
-    def _before_kernel_cold(self) -> None:
-        """Replay pending warm plans' memo donations (legacy order).
-
-        In the legacy batch loop every warm replay donates its sub-twig
-        values to the shared memo *before* later queries run.  The
-        kernel path defers warm queries, so right before a cold compile
-        it re-establishes the exact memo a legacy run would have: each
-        pending plan's ``evaluate(memo)`` — bit-identical to the kernel
-        result — donates in the original query order.  All-warm batches
-        never pay this.
-        """
-        if not self._kernel_pending:
-            return
-        memo = self._shared_memo
-        if memo is not None:
-            for plan in self._kernel_pending:
-                plan.evaluate(memo)
-        self._kernel_pending.clear()
+            record_plan_request(self.name, "hit", len(self._plans))
 
     def _estimate_key(self, key: Canon) -> float:
         plan = self._plans.get(key)
         if plan is not None:
-            # A replay donates sub-twig values only to a shared memo (a
-            # batch's, or a persistent one); a plain estimate has none.
-            shared = self._shared_memo
             if not obs.enabled:
-                return plan.evaluate(shared)
-            record_plan_request(
-                self.name, "hit", len(self._plans), len(self._memo_keys)
-            )
+                return plan.evaluate()
+            record_plan_request(self.name, "hit", len(self._plans))
             with obs.span("estimate", estimator=self.name, plan="hit") as root_span:
                 traced = obs.span_recording()
                 if traced:
@@ -244,11 +195,7 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
                 with obs.registry.timer(
                     "estimate_seconds", "Per-query estimation wall time."
                 ).time() as frame:
-                    value = (
-                        plan.evaluate_traced(shared)
-                        if traced
-                        else plan.evaluate(shared)
-                    )
+                    value = plan.evaluate_traced() if traced else plan.evaluate()
                 root_span.set(value=value, depth=plan.max_depth)
             obs.registry.histogram(
                 "recursion_depth",
@@ -283,16 +230,14 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
             "Per-query estimation latency quantiles.",
         ).observe(frame.elapsed)
         self._plans[key] = builder.build(root, self._max_depth)
-        record_plan_request(
-            self.name, "miss", len(self._plans), len(self._memo_keys)
-        )
+        record_plan_request(self.name, "miss", len(self._plans))
         return value
 
     def _compile(
         self,
         key: Canon,
         size: int,
-        memo: dict[int, float],
+        memo: dict[Canon, float],
         depth: int,
         builder: PlanBuilder,
     ) -> tuple[float, int]:
@@ -303,8 +248,7 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
         value and operation into ``builder`` as a side effect.  ``key``
         is the sub-twig's canonical form and ``size`` its node count.
         """
-        pattern_id = self._memo_keys.intern(key)
-        cached = memo.get(pattern_id)
+        cached = memo.get(key)
         if cached is not None:
             if obs.enabled:
                 self._record_memo("hit")
@@ -312,28 +256,27 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
                     obs.span_point(
                         "memo_hit", pattern=encode_canon(key), value=cached
                     )
-            return cached, builder.const(cached)
+            return cached, builder.slot_of(key, cached)
         if obs.enabled:
             self._record_memo("miss")
         value = self._lookup(key, size)
         if value is None:
-            # Decompose the canonical instance, so the value (and the
-            # memo entry) is a function of the key alone.
-            tree = canon_to_tree(key)
             if obs.enabled:
                 with obs.span("decompose", size=size, depth=depth) as dspan:
                     if obs.span_recording():
                         dspan.set(pattern=encode_canon(key))
                     value, slot = self._compile_decompose(
-                        tree, memo, depth, builder
+                        key, size, memo, depth, builder
                     )
                     dspan.set(value=value)
             else:
-                value, slot = self._compile_decompose(tree, memo, depth, builder)
+                value, slot = self._compile_decompose(
+                    key, size, memo, depth, builder
+                )
         else:
             slot = builder.const(value)
-        memo[pattern_id] = value
-        builder.note_memo(pattern_id, slot)
+        memo[key] = value
+        builder.name(key, slot)
         return value, slot
 
     @staticmethod
@@ -373,20 +316,33 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
 
     def _compile_decompose(
         self,
-        tree: LabeledTree,
-        memo: dict[int, float],
+        key: Canon,
+        size: int,
+        memo: dict[Canon, float],
         depth: int,
         builder: PlanBuilder,
     ) -> tuple[float, int]:
+        """Theorem 1 over the leaf pairs of ``key`` (at least 3 nodes).
+
+        Pairs come in :func:`~repro.core.decompose.leaf_pair_decompositions`
+        order.  Each ``key - u`` is built once and shared by the pairs
+        that drop ``u``; each ``key - u - v`` once per pair.
+        """
         total = 0.0
         count = 0
         parts: list[int] = []
-        for split in leaf_pair_decompositions(tree):
+        paths = canon_removable_paths(key)
+        drop_one: dict[int, Canon] = {}
+        for u, v in combinations(range(len(paths)), 2):
             if obs.enabled:
+                obs.registry.counter(
+                    "decompose_splits_total",
+                    "Leaf-pair splits materialised by the decomposers.",
+                ).inc()
                 obs.span_point("choice", index=count)
-            common, t1, t2 = split.common, split.t1, split.t2
+            common = canon_without(key, (paths[u], paths[v]))
             denominator, denominator_slot = self._compile(
-                canon(common), common.size, memo, depth + 1, builder
+                common, size - 2, memo, depth + 1, builder
             )
             if denominator <= 0.0:
                 # The original recursion never evaluates t1/t2 here, so
@@ -394,11 +350,17 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
                 estimate = 0.0
                 part = builder.const(0.0)
             else:
+                t1 = drop_one.get(u)
+                if t1 is None:
+                    t1 = drop_one[u] = canon_without(key, (paths[u],))
+                t2 = drop_one.get(v)
+                if t2 is None:
+                    t2 = drop_one[v] = canon_without(key, (paths[v],))
                 t1_value, t1_slot = self._compile(
-                    canon(t1), t1.size, memo, depth + 1, builder
+                    t1, size - 1, memo, depth + 1, builder
                 )
                 t2_value, t2_slot = self._compile(
-                    canon(t2), t2.size, memo, depth + 1, builder
+                    t2, size - 1, memo, depth + 1, builder
                 )
                 estimate = t1_value * t2_value / denominator
                 part = builder.ratio(t1_slot, t2_slot, denominator_slot)
@@ -419,9 +381,7 @@ class RecursiveDecompositionEstimator(KeyedEstimator):
                 "voting_fanout",
                 "Leaf-pair decompositions averaged per expanded node.",
             ).observe(count)
-            obs.event(
-                "decompose_step", size=tree.size, depth=depth, fanout=count
-            )
+            obs.event("decompose_step", size=size, depth=depth, fanout=count)
         if not count:
             return 0.0, builder.const(0.0)
         return total / count, builder.average(parts)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .. import obs
 from ..resilience import corrupt_bytes
-from ..trees.canonical import Canon, decode_canon, encode_canon
+from ..trees.canonical import Canon, canon_decoder, encode_canon
 from .base import SummaryStore
 from .errors import TruncatedPayload, UnsupportedVersion
 from .integrity import payload_checksum, verify_checksum
@@ -31,23 +31,26 @@ PAYLOAD_VERSION = 2
 _CORRUPTION_SITE = "store.dict_payload"
 
 
-def _deep_canon_bytes(key: Canon, seen: set[int]) -> int:
-    """Footprint of one canon tuple, skipping objects already counted.
+def _deep_canon_bytes(key: Canon, seen: set[object]) -> int:
+    """Footprint of one canon tuple, skipping labels already counted.
 
-    Canon nodes are nested tuples over label strings; label strings are
-    typically shared across many patterns of one document, so dedup by
-    object identity keeps the figure honest.
+    Canon nodes are nested tuples over label strings.  Every tuple of
+    the key is counted, even one it shares with another key: mined and
+    loaded keys share sub-tuples to different extents, and the figure
+    must not depend on how a summary was made.  Label strings recur
+    across the patterns of one document, so each distinct label (and
+    the empty child tuple) is counted once.
     """
     total = 0
     stack: list[object] = [key]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, tuple):
+        if isinstance(obj, tuple) and obj:
+            total += sys.getsizeof(obj)
             stack.extend(obj)
+        elif obj not in seen:
+            seen.add(obj)
+            total += sys.getsizeof(obj)
     return total
 
 
@@ -84,8 +87,8 @@ class DictStore(SummaryStore):
         return iter(self._counts.items())
 
     def byte_size(self) -> int:
-        """Actual footprint: the table plus every key tuple and count."""
-        seen: set[int] = set()
+        """Footprint: the table, every key's tuples, labels and counts."""
+        seen: set[object] = set()
         total = sys.getsizeof(self._counts)
         for key, count in self._counts.items():
             total += _deep_canon_bytes(key, seen)
@@ -164,10 +167,11 @@ class DictStore(SummaryStore):
         store = cls()
         if not data:
             return store
+        decode = canon_decoder()
         try:
             for line in data.decode("utf-8").split("\n"):
                 count_str, key = line.split("\t", 1)
-                store.add(decode_canon(key), int(count_str))
+                store.add(decode(key), int(count_str))
         except (ValueError, KeyError, IndexError) as exc:
             raise TruncatedPayload(
                 f"DictStore payload entry stream is malformed: {exc}"

@@ -10,6 +10,12 @@ where the children canons are sorted.  Canon tuples are hashable and
 compare cheaply, which makes them the natural dictionary key for the
 lattice summary, the miner's count maps, and the estimators' memo tables.
 
+The decomposition estimators and the miner work on canon tuples
+directly: :func:`canon_removable_paths`, :func:`canon_without` and
+:func:`canon_extensions` shrink and grow a key by one node, rebuilding
+only the child tuples on the path to that node, so neither needs a
+:class:`LabeledTree` per sub-twig or candidate.
+
 For persistent storage and human-readable display there is a compact
 string codec: ``a(b,c(d))`` encodes the tree rooted at ``a`` with leaf
 child ``b`` and child ``c`` that has leaf child ``d``.  Characters that
@@ -19,14 +25,17 @@ backslash-escaped, so arbitrary labels round-trip.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
-from typing import Sequence
+from bisect import bisect_left
+from typing import Callable, Collection, Mapping, Sequence
 
 from .labeled_tree import LabeledTree, NestedSpec, TreeBuildError
 
 __all__ = [
     "Canon",
+    "CanonPath",
     "PatternInterner",
     "canon",
     "canon_of_subtree",
@@ -35,6 +44,10 @@ __all__ = [
     "canon_size",
     "canon_from_nested",
     "canon_to_tree",
+    "canon_removable_paths",
+    "canon_without",
+    "canon_extensions",
+    "canon_decoder",
     "encode_canon",
     "decode_canon",
     "encode_tree",
@@ -47,7 +60,16 @@ __all__ = [
 #: accessors below are the only supported way to look inside.
 Canon = tuple[str, tuple["Canon", ...]]
 
+#: A node of a canon named by the child indices leading to it from the
+#: root; ``()`` is the root.  Node ``n`` of :func:`canon_to_tree` and its
+#: path name the same node.
+CanonPath = tuple[int, ...]
+
 _ESCAPED = {"(", ")", ",", "\\"}
+
+#: The error for sibling subtrees nested deeper than tuple comparison
+#: can recurse: they cannot be put in canonical order.
+_TOO_DEEP = "sibling subtrees nest too deeply to order"
 
 
 def canon(tree: LabeledTree) -> Canon:
@@ -59,24 +81,29 @@ def canon_of_subtree(tree: LabeledTree, node: int) -> Canon:
     """Canonical tuple of the subtree of ``tree`` rooted at ``node``.
 
     Iterative post-order so arbitrarily deep documents (beyond Python's
-    recursion limit) canonicalise fine.
+    recursion limit) canonicalise fine.  Ordering siblings compares
+    their canons, which recurses as deep as they are; siblings too deep
+    to compare raise :class:`TreeBuildError`.
     """
     done: dict[int, Canon] = {}
     stack: list[tuple[int, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        kids = tree.child_ids(current)
-        if not kids:
-            done[current] = (tree.label(current), ())
-            continue
-        if expanded:
-            done[current] = (
-                tree.label(current),
-                tuple(sorted(done[c] for c in kids)),
-            )
-        else:
-            stack.append((current, True))
-            stack.extend((c, False) for c in kids)
+    try:
+        while stack:
+            current, expanded = stack.pop()
+            kids = tree.child_ids(current)
+            if not kids:
+                done[current] = (tree.label(current), ())
+                continue
+            if expanded:
+                done[current] = (
+                    tree.label(current),
+                    tuple(sorted(done[c] for c in kids)),
+                )
+            else:
+                stack.append((current, True))
+                stack.extend((c, False) for c in kids)
+    except RecursionError:
+        raise TreeBuildError(_TOO_DEEP) from None
     return done[node]
 
 
@@ -110,8 +137,9 @@ def canon_to_tree(c: Canon) -> LabeledTree:
     """Materialise a canon tuple as a :class:`LabeledTree`.
 
     Nodes are created in canonical pre-order, so ``canon(canon_to_tree(c))
-    == c`` and node 0 is the root.  The estimators rebuild every twig
-    they decompose this way, so the node lists are filled directly.
+    == c`` and node 0 is the root.  The fix-sized estimator covers every
+    twig's instance built this way, so the node lists are filled
+    directly.
     """
     tree = LabeledTree(c[0])
     labels, parents, children = tree.labels, tree.parents, tree.children
@@ -126,6 +154,145 @@ def canon_to_tree(c: Canon) -> LabeledTree:
         if kids:
             stack.extend([(node, grandkid) for grandkid in reversed(kids)])
     return tree
+
+
+# ----------------------------------------------------------------------
+# Growing and shrinking keys
+# ----------------------------------------------------------------------
+
+
+def canon_removable_paths(c: Canon) -> list[CanonPath]:
+    """Paths of the nodes a leaf-pair decomposition may drop from ``c``.
+
+    The nodes of ``canon_to_tree(c).removable_nodes()``, in that order:
+    the root first when it has at most one child, then every leaf in
+    canonical pre-order.  Iterative, so any depth works.
+    """
+    paths: list[CanonPath] = []
+    kids = c[1]
+    if len(kids) <= 1:
+        paths.append(())
+    stack: list[tuple[Canon, CanonPath]] = [
+        (kids[i], (i,)) for i in range(len(kids) - 1, -1, -1)
+    ]
+    while stack:
+        node, path = stack.pop()
+        below = node[1]
+        if below:
+            stack.extend(
+                (below[i], path + (i,)) for i in range(len(below) - 1, -1, -1)
+            )
+        else:
+            paths.append(path)
+    return paths
+
+
+def _replace_kid(
+    kids: tuple[Canon, ...], index: int, new: Canon
+) -> tuple[Canon, ...]:
+    """``kids`` with ``kids[index]`` replaced by ``new``, kept sorted."""
+    rest = kids[:index] + kids[index + 1 :]
+    at = bisect_left(rest, new)
+    return rest[:at] + (new,) + rest[at:]
+
+
+def _chain(c: Canon, path: CanonPath) -> list[Canon]:
+    """The nodes from the root of ``c`` down to the node at ``path``."""
+    chain = [c]
+    for index in path:
+        chain.append(chain[-1][1][index])
+    return chain
+
+
+def _splice(chain: list[Canon], path: CanonPath, node: Canon) -> Canon:
+    """Put ``node`` in place of ``chain[-1]`` and rebuild up to the root.
+
+    Only the child tuples on the path change; each is re-sorted, since
+    the new child may order differently from the one it replaces.
+    """
+    for depth in range(len(chain) - 2, -1, -1):
+        parent = chain[depth]
+        node = (parent[0], _replace_kid(parent[1], path[depth], node))
+    return node
+
+
+def _drop_leaf(c: Canon, path: CanonPath) -> Canon:
+    chain = _chain(c, path[:-1])
+    label, kids = chain[-1]
+    index = path[-1]
+    # Dropping one member of a sorted tuple leaves it sorted.
+    return _splice(chain, path, (label, kids[:index] + kids[index + 1 :]))
+
+
+def canon_without(c: Canon, paths: Sequence[CanonPath]) -> Canon:
+    """``c`` with one or two of its removable nodes dropped.
+
+    ``paths`` come from :func:`canon_removable_paths`; the result equals
+    ``canon(canon_to_tree(c).remove_nodes(nodes))``.  Dropping the root
+    (``()``) promotes its only child.  Dropping a leaf rebuilds just the
+    child tuples on its path, so every other sub-tuple of ``c`` is
+    shared with the result.  Bounded by the key's depth.
+    """
+    if () in paths:
+        if len(c[1]) != 1:
+            raise TreeBuildError("only a root with one child can be dropped")
+        c = c[1][0]
+        paths = [path[1:] for path in paths if path]
+    if not paths:
+        return c
+    if len(paths) == 1:
+        return _drop_leaf(c, paths[0])
+    first, second = paths
+    # Two leaves: walk their shared prefix to the node where they fork.
+    fork = 0
+    while first[fork] == second[fork]:
+        fork += 1
+    chain = _chain(c, first[:fork])
+    label, kids = chain[-1]
+    a, b = first[fork], second[fork]
+    kept = [kid for i, kid in enumerate(kids) if i != a and i != b]
+    if len(first) == fork + 1 and len(second) == fork + 1:
+        # Sibling leaves: what remains is still sorted.
+        return _splice(chain, first, (label, tuple(kept)))
+    if len(first) > fork + 1:
+        kept.append(_drop_leaf(kids[a], first[fork + 1 :]))
+    if len(second) > fork + 1:
+        kept.append(_drop_leaf(kids[b], second[fork + 1 :]))
+    kept.sort()
+    return _splice(chain, first, (label, tuple(kept)))
+
+
+def canon_extensions(
+    c: Canon, child_labels: Mapping[str, Collection[str]]
+) -> set[Canon]:
+    """Every key one leaf larger than ``c``, as the miner grows candidates.
+
+    A new leaf labelled ``x`` may hang under any node labelled ``p``
+    with ``x in child_labels[p]`` (the document's observed parent/child
+    label pairs, :attr:`DocumentIndex.child_labels`).  The result equals
+    ``{canon(t.with_child(n, x))}`` over the nodes ``n`` of
+    ``t = canon_to_tree(c)``.  Identical siblings yield identical
+    extensions, so only the first of a run of equal child tuples is
+    expanded.  Iterative, bounded by the key's depth per extension.
+    """
+    grown: set[Canon] = set()
+    stack: list[tuple[list[Canon], CanonPath]] = [([c], ())]
+    while stack:
+        chain, path = stack.pop()
+        label, kids = chain[-1]
+        allowed = child_labels.get(label)
+        if allowed:
+            for new_label in allowed:
+                leaf: Canon = (new_label, ())
+                at = bisect_left(kids, leaf)
+                grown_node = (label, kids[:at] + (leaf,) + kids[at:])
+                grown.add(_splice(chain, path, grown_node))
+        previous: Canon | None = None
+        for index, kid in enumerate(kids):
+            if kid != previous:
+                stack.append((chain + [kid], path + (index,)))
+                previous = kid
+    return grown
 
 
 def canonical_preorder(tree: LabeledTree) -> list[int]:
@@ -209,7 +376,9 @@ def decode_canon(text: str) -> Canon:
 
     The input need not list children in sorted order; the result is
     re-canonicalised, so ``decode_canon`` accepts any hand-written
-    pattern string.  Iterative, so arbitrarily deep patterns parse.
+    pattern string.  Iterative, so arbitrarily deep patterns parse;
+    sibling subtrees too deep to order raise :class:`TreeBuildError`,
+    as :func:`canon_of_subtree` does.
     """
     n = len(text)
     pos = 0
@@ -244,7 +413,11 @@ def decode_canon(text: str) -> Canon:
                     )
                 kids = open_kids.pop()
                 kids.append(node)
-                node = (open_labels.pop(), tuple(sorted(kids)))
+                try:
+                    kids.sort()
+                except RecursionError:
+                    raise TreeBuildError(_TOO_DEEP) from None
+                node = (open_labels.pop(), tuple(kids))
                 pos += 1
                 continue
             raise TreeBuildError(f"unexpected {ch!r} at position {pos}")
@@ -272,6 +445,83 @@ def _scan_label(text: str, pos: int) -> tuple[str, int]:
     return label, pos
 
 
+#: Nesting depth past which :func:`canon_decoder` hands a key to
+#: :func:`decode_canon`, so its recursion stays shallow.
+_DECODER_DEPTH = 48
+
+_SYNTAX = re.compile(r"[(),]")
+
+
+def _top_level_parts(text: str, open_at: int) -> list[str] | None:
+    """The child strings of ``label(...)``, or ``None`` when it is not.
+
+    Splits the body at its commas and rejoins pieces until their
+    parentheses balance, so the parts are split at the top-level
+    commas.  Each part is decoded in turn, which rejects any malformed
+    one; ``None`` here marks a bad label, a missing closing parenthesis
+    or a body that never balances.
+    """
+    if open_at == 0 or text[-1] != ")" or _SYNTAX.search(text, 0, open_at):
+        return None
+    body = text[open_at + 1 : -1]
+    if "(" not in body:
+        return body.split(",")
+    parts: list[str] = []
+    group: list[str] = []
+    depth = 0
+    for piece in body.split(","):
+        depth += piece.count("(") - piece.count(")")
+        group.append(piece)
+        if not depth:
+            parts.append(group[0] if len(group) == 1 else ",".join(group))
+            group = []
+    return None if group else parts
+
+
+def canon_decoder() -> Callable[[str], Canon]:
+    """A :func:`decode_canon` with a memo, for the keys of one file.
+
+    A summary's keys share most of their sub-patterns, so the returned
+    function splits each key's children at its top-level commas,
+    decodes each distinct child string once, and hands equal
+    sub-patterns back as one shared tuple.  A string it cannot read
+    plainly goes to :func:`decode_canon`: one holding a backslash, an
+    empty or unbalanced part, or nesting deeper than a fixed bound.
+    Escaped labels therefore decode exactly as before, and malformed
+    strings, or sibling subtrees too deep to order, raise the same
+    :class:`TreeBuildError` (for a malformed child, :func:`decode_canon`
+    names the child rather than the key).
+    """
+    memo: dict[str, Canon] = {}
+
+    def decode(text: str, depth: int = 0) -> Canon:
+        found = memo.get(text)
+        if found is not None:
+            return found
+        node: Canon
+        open_at = text.find("(")
+        if depth > _DECODER_DEPTH or "\\" in text:
+            node = decode_canon(text)
+        elif open_at < 0:
+            plain = text and not _SYNTAX.search(text)
+            node = (text, ()) if plain else decode_canon(text)
+        else:
+            parts = _top_level_parts(text, open_at)
+            if parts is None:
+                node = decode_canon(text)
+            else:
+                kids = [decode(part, depth + 1) for part in parts]
+                try:
+                    kids.sort()
+                except RecursionError:
+                    raise TreeBuildError(_TOO_DEEP) from None
+                node = (text[:open_at], tuple(kids))
+        memo[text] = node
+        return node
+
+    return decode
+
+
 # ----------------------------------------------------------------------
 # Pattern interning
 # ----------------------------------------------------------------------
@@ -295,8 +545,7 @@ class PatternInterner:
     child_count)`` pairs and assigned the next free id.  Ids are dense
     (``0 .. len(self) - 1``) in first-intern order, and
     ``canon_of(intern(c)) == c`` for every interned canon — the
-    round-trip the :class:`~repro.store.ArrayStore` backend and the
-    recursive estimator's sub-twig memo rest on.
+    round-trip the :class:`~repro.store.ArrayStore` backend rests on.
     """
 
     __slots__ = ("_labels", "_label_ids", "_codes", "_code_ids")

@@ -42,6 +42,11 @@ def tree_from_element(
 ) -> LabeledTree:
     """Convert an ElementTree element into a :class:`LabeledTree`.
 
+    The node lists are filled directly: each element's attribute nodes,
+    then its child elements, take the next free ids when the element
+    is reached, and each distinct tag is stripped of its namespace once
+    per conversion.
+
     Parameters
     ----------
     element:
@@ -51,15 +56,29 @@ def tree_from_element(
         labelled ``@name`` (the value is still dropped — the model is
         structural).
     """
+    stripped: dict[str, str] = {}
     tree = LabeledTree(_strip_namespace(element.tag))
+    labels, parents, children = tree.labels, tree.parents, tree.children
     stack = [(element, 0)]
     while stack:
         elem, node = stack.pop()
+        kids = children[node]
         if include_attributes:
             for name in elem.attrib:
-                tree.add_child(node, "@" + _strip_namespace(name))
+                kids.append(len(labels))
+                labels.append("@" + _strip_namespace(name))
+                parents.append(node)
+                children.append([])
         for child in elem:
-            child_node = tree.add_child(node, _strip_namespace(child.tag))
+            tag = child.tag
+            label = stripped.get(tag)
+            if label is None:
+                label = stripped[tag] = _strip_namespace(tag)
+            child_node = len(labels)
+            labels.append(label)
+            parents.append(node)
+            children.append([])
+            kids.append(child_node)
             stack.append((child, child_node))
     return tree
 

@@ -108,6 +108,31 @@ class TestPersistence:
         with pytest.raises(ValueError):
             LatticeSummary.load(path)
 
+    def test_loaded_byte_size_equals_mined(self, small_nasa_lattice, tmp_path):
+        # Loading shares sub-tuples and labels differently from mining;
+        # the footprint figure depends on the content alone.
+        path = tmp_path / "summary.tsv"
+        small_nasa_lattice.save(path)
+        loaded = LatticeSummary.load(path)
+        assert loaded.byte_size() == small_nasa_lattice.byte_size()
+
+    def test_load_too_deep_fails_typed(self, tmp_path):
+        # Two sibling chains deeper than tuple comparison can recurse:
+        # the load fails as TreeBuildError, never with a RecursionError.
+        from repro import TreeBuildError
+
+        chain = "a(" * 3000 + "{}" + ")" * 3000
+        path = tmp_path / "deep.tsv"
+        path.write_text(
+            "#treelattice v=1 level=3 complete=\n"
+            f"1\tr({chain.format('b')},{chain.format('c')})\n"
+        )
+        try:
+            loaded = LatticeSummary.load(path)
+        except TreeBuildError:
+            return  # this interpreter cannot order the siblings
+        assert loaded.num_patterns == 1
+
     def test_load_skips_blank_lines(self, figure1_lattice, tmp_path):
         path = tmp_path / "summary.tsv"
         figure1_lattice.save(path)

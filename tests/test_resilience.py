@@ -575,6 +575,24 @@ class TestStoreIntegrity:
         with pytest.raises(TruncatedPayload):
             DictStore.from_payload(payload)
 
+    def test_dict_too_deep_stream_is_truncated(self):
+        # Two sibling chains deeper than tuple comparison can recurse.
+        from repro.store.integrity import payload_checksum
+
+        chain = "a(" * 3000 + "{}" + ")" * 3000
+        key = f"r({chain.format('b')},{chain.format('c')})"
+        data = f"1\t{key}".encode()
+        payload = {
+            "payload_version": 2,
+            "data": data,
+            "crc32": payload_checksum([data]),
+        }
+        try:
+            store = DictStore.from_payload(payload)
+        except TruncatedPayload:
+            return  # this interpreter cannot order the siblings
+        assert [count for _, count in store.items()] == [1]
+
     def test_taxonomy_keeps_value_error_base(self):
         assert issubclass(ChecksumMismatch, StorePayloadError)
         assert issubclass(TruncatedPayload, StorePayloadError)

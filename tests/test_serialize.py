@@ -52,6 +52,24 @@ class TestParsing:
         tree = tree_from_xml(b"<a><b/></a>")
         assert tree.size == 2
 
+    def test_node_numbering(self):
+        # Each element's attribute nodes, then its child elements, take
+        # the next free ids when the element is reached (last child
+        # first); namespaces are stripped from tags and attribute names.
+        text = (
+            '<ns:a xmlns:ns="http://x" id="1"><ns:b ns:k="v"><c/><ns:b/>'
+            '</ns:b><c x="1" y="2"/></ns:a>'
+        )
+        plain = tree_from_xml(text)
+        assert plain.labels == ["a", "b", "c", "c", "b"]
+        assert plain.parents == [-1, 0, 0, 1, 1]
+        lifted = tree_from_xml(text, include_attributes=True)
+        assert lifted.labels == [
+            "a", "@id", "b", "c", "@x", "@y", "@k", "c", "b"
+        ]
+        assert lifted.parents == [-1, 0, 0, 0, 3, 3, 2, 2, 2]
+        assert lifted.children[0] == [1, 2, 3]
+
 
 class TestRoundtrip:
     def test_tree_to_xml_roundtrip(self, figure1_doc):

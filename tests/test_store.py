@@ -477,7 +477,8 @@ class TestCompiledPlans:
         assert by_outcome[(name, "miss")] == 1
         assert by_outcome[(name, "hit")] == 1
         assert registry.get("plan_cache_size") is not None
-        assert registry.get("intern_table_patterns") is not None
+        # The memo is keyed by canon, so no estimator interns patterns.
+        assert registry.get("intern_table_patterns") is None
 
     def test_summary_bytes_gauge_exported(self, figure1_doc):
         with obs.observed() as (registry, _):
